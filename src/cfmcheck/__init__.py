@@ -7,24 +7,24 @@ non-interference, and type terms for the rooted variant.
 
 from .equiv import (
     Partition, branching_bisim, is_branching_bisimulation, markings_equiv,
-    naive_branching_fixpoint, rooted_pairs, rooted_partition,
-    rooted_signature, strong_bisim_lts, strong_partition, terms_equiv,
+    naive_branching_fixpoint, rooted_partition, rooted_signature,
+    strong_bisim_lts, strong_partition, terms_equiv,
 )
 from .net import (
     Lts, Marking, Net, NotEnabledError, StateLimitError, THETA, Transition,
-    build_lts, build_net, dec, fire, lts_step, net_from_json, net_to_dot,
-    net_to_json, reach, reach_graph, restrict_net, restriction_map,
+    build_lts, build_net, components, dec, fire, lts_step, net_from_json,
+    net_to_dot, net_to_json, reach, reach_graph, restrict_net,
     silent_closure,
 )
 from .security import (
-    Verdict, Witness, check_all, components, dni_compositional,
-    dni_definitional, dni_structural, rooted_dni, sbndc_interleaving,
+    Verdict, Witness, check_all, dni_compositional, dni_definitional,
+    dni_structural, rooted_dni, sbndc_interleaving,
 )
 from .syntax import (
     NIL, TAU, Action, CategoryError, Const, Nil, Par, ParseError, Prefix,
-    Spec, SpecError, Sum, Term, category, high, initials,
-    is_observationally_guarded, low, make_spec, normalize_sum, parse_spec,
-    parse_term, restrict_syntactic, show, sort, summands,
+    Spec, SpecError, Sum, Term, category, high, is_observationally_guarded,
+    low, make_spec, normalize_sum, parse_spec, parse_term,
+    restrict_syntactic, show, sort, summands,
 )
 from .typesystem import (
     Derivation, TypingJudgment, decide_equational, is_deadlock_place,

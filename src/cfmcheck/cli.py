@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested property holds (secure, typed,
 equivalent) or the requested artifact was produced, 1 when the property
-fails, 2 on usage, parse or resource errors.
+fails, 2 on usage, parse or resource errors, including input nested too
+deeply for the checker.
 """
 
 import argparse
@@ -24,7 +25,6 @@ class RunConfig:
     path: str
     fmt: str = "text"
     max_states: int = 10 ** 6
-    seed: int = 0
     method: str = "all"
     sbndc: bool = False
     left: str = ""
@@ -37,9 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cfmcheck",
         description="Compile CFM terms to finite-state-machine nets and "
                     "check distributed non-interference.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized auxiliaries; the checking "
-                             "procedures themselves are deterministic")
     commands = parser.add_subparsers(dest="command", required=True)
 
     def with_common(sub, formats=("text", "json")):
@@ -278,11 +275,12 @@ def main(argv=None) -> int:
         return 0 if stop.code in (0, None) else 2
     try:
         return run(config)
-    except (SpecError, StateLimitError) as error:
+    except (SpecError, StateLimitError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
+    except RecursionError:
+        print("error: the input is nested too deeply for the checker",
+              file=sys.stderr)
         return 2
 
 

@@ -260,11 +260,6 @@ def rooted_signature(net: Net, part: Partition, place: int) -> frozenset:
     return frozenset((t.label, part.class_of_post(t.post)) for t in net.out(place))
 
 
-def rooted_pairs(net: Net, part: Partition, s1: int, s2: int) -> bool:
-    """Rooted equivalence: equal first moves into equal classes."""
-    return rooted_signature(net, part, s1) == rooted_signature(net, part, s2)
-
-
 def rooted_partition(net: Net, part: Partition = None) -> Partition:
     """Group places by their rooted signatures over the branching classes."""
     if part is None:

@@ -6,7 +6,6 @@ initial marking and a sequential term always owns exactly one token.
 Places are identified by the canonical rendering of sequential terms.
 """
 
-import json
 from collections import deque
 from typing import NamedTuple
 
@@ -134,6 +133,24 @@ def dec(t: Term) -> Marking:
             return Marking.of(show(t))
 
 
+def components(term: Term) -> list:
+    """Distinct sequential components of a parallel term, sorted."""
+    found = {}
+
+    def walk(u):
+        match u:
+            case Nil():
+                pass
+            case Par(left, right):
+                walk(left)
+                walk(right)
+            case _:
+                found.setdefault(show(u), u)
+
+    walk(term)
+    return [term for _, term in sorted(found.items())]
+
+
 # ---------------------------------------------------------------------------
 # nets
 
@@ -152,15 +169,16 @@ class Net:
 
     Place indexes follow the sorted order of place names, transitions
     are sorted as well, so structurally equal nets compare and render
-    identically.  `reachable` flags the places a token can ever visit
-    from the initial marking; construction keeps unreachable places
-    because restriction wants to rename every place it was given.
+    identically.  `labels` holds the actions of the transitions.
+    `reachable` flags the places a token can ever visit from the
+    initial marking: every place of a compiled net, but not always every
+    place of a restricted one.
     """
 
     __slots__ = ("names", "index", "transitions", "initial", "labels",
                  "reachable", "_out")
 
-    def __init__(self, names, transitions, initial, labels=None):
+    def __init__(self, names, transitions, initial):
         self.names = tuple(sorted(set(names)))
         self.index = {name: i for i, name in enumerate(self.names)}
         interned = set()
@@ -174,8 +192,7 @@ class Net:
             if place not in self.index:
                 raise ValueError(f"initial marking mentions an unknown place {place!r}")
         self.initial = Marking((self.index[p], c) for p, c in initial.items())
-        self.labels = frozenset(labels) if labels is not None else \
-            frozenset(t.label for t in self.transitions)
+        self.labels = frozenset(t.label for t in self.transitions)
         out = [[] for _ in self.names]
         for i, t in enumerate(self.transitions):
             out[t.pre].append(i)
@@ -280,139 +297,6 @@ def silent_closure(net: Net, place: int) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# compiling terms to nets
-
-def build_net(spec: Spec, term: Term = None) -> Net:
-    """Compile a term (spec.main by default) into its net.
-
-    The construction is structural.  A prefix contributes its own place
-    and one transition into the decomposition of its body.  A choice
-    gets a fresh place whose outgoing transitions copy those of the two
-    summand root places; a summand root that no transition ever
-    produces again is dropped together with its outgoing transitions.
-    A constant behaves like its body with the root renamed to the
-    constant itself, and a constant already under construction becomes
-    a stub place that the enclosing recursion ties back.  Parallel
-    composition is plain union.  A final sweep discards anything a
-    token cannot reach, which by construction should already be gone.
-    """
-    t = spec.main if term is None else term
-    memo = {}
-
-    def walk(u, scanned):
-        key = (show(u), scanned)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        match u:
-            case Nil():
-                result = (frozenset(), frozenset(), frozenset())
-            case Prefix(action, body):
-                places, trans, labels = walk(body, scanned)
-                target = dec(body)
-                post = target.dom()[0] if target else None
-                result = (places | {show(u)},
-                          trans | {(show(u), action, post)},
-                          labels | {action})
-            case Sum(left, right):
-                root = show(u)
-                places, trans = {root}, set()
-                labels = frozenset()
-                fresh = set()
-                for side in (left, right):
-                    s_places, s_trans, s_labels = walk(side, scanned)
-                    side_root = None if isinstance(side, Nil) else show(side)
-                    produced = any(post == side_root for _, _, post in s_trans)
-                    fresh |= {(root, a, post)
-                              for pre, a, post in s_trans if pre == side_root}
-                    if not produced and side_root is not None:
-                        s_places = s_places - {side_root}
-                        s_trans = {x for x in s_trans if x[0] != side_root}
-                    places |= s_places
-                    trans |= s_trans
-                    labels |= s_labels
-                result = (frozenset(places), frozenset(trans | fresh), labels)
-            case Const(name):
-                if name in scanned:
-                    result = (frozenset([name]), frozenset(), frozenset())
-                else:
-                    body = spec.body_of(name)
-                    places, trans, labels = walk(body, scanned | {name})
-                    body_root = None if isinstance(body, Nil) else show(body)
-                    produced = any(post == body_root for _, _, post in trans)
-                    fresh = {(name, a, post)
-                             for pre, a, post in trans if pre == body_root}
-                    if not produced and body_root is not None:
-                        places = places - {body_root}
-                        trans = {x for x in trans if x[0] != body_root}
-                    result = (places | {name}, trans | fresh, labels)
-            case Par(left, right):
-                p1, t1, l1 = walk(left, scanned)
-                p2, t2, l2 = walk(right, scanned)
-                result = (p1 | p2, t1 | t2, l1 | l2)
-            case _:
-                raise TypeError(f"not a term: {u!r}")
-        memo[key] = result
-        return memo[key]
-
-    places, transitions, labels = walk(t, frozenset())
-    initial = dec(t)
-
-    # defensive sweep: keep only what a token can reach
-    seen = set(initial.dom())
-    frontier = list(seen)
-    by_pre = {}
-    for tr in transitions:
-        by_pre.setdefault(tr[0], []).append(tr)
-    while frontier:
-        place = frontier.pop()
-        for _, _, post in by_pre.get(place, ()):
-            if post is not None and post not in seen:
-                seen.add(post)
-                frontier.append(post)
-    places = {p for p in places if p in seen}
-    transitions = {tr for tr in transitions if tr[0] in seen}
-
-    return Net(places, transitions, initial, labels)
-
-
-# ---------------------------------------------------------------------------
-# restriction at the net level
-
-RESTRICT_MARK = " \\H"
-
-
-def restricted_name(name: str) -> str:
-    return name + RESTRICT_MARK
-
-
-def restrict_net(net: Net, high_names) -> Net:
-    """Drop every transition labelled with a high action and rename places.
-
-    All places survive under their restricted names, even those no
-    token can reach any more, so callers can translate any place of the
-    original net into the restricted one.
-    """
-    blocked = {str(name) for name in high_names}
-    names = [restricted_name(n) for n in net.names]
-    transitions = [
-        (restricted_name(net.names[t.pre]), t.label,
-         None if t.post is None else restricted_name(net.names[t.post]))
-        for t in net.transitions if str(t.label) not in blocked
-    ]
-    initial = Marking((restricted_name(net.names[p]), c)
-                      for p, c in net.initial.items())
-    labels = frozenset(a for a in net.labels if str(a) not in blocked)
-    return Net(names, transitions, initial, labels)
-
-
-def restriction_map(net: Net, restricted: Net) -> dict:
-    """Map each place index of net onto its index in the restricted net."""
-    return {i: restricted.index[restricted_name(name)]
-            for i, name in enumerate(net.names)}
-
-
-# ---------------------------------------------------------------------------
 # the term-level transition system
 
 def lts_step(t: Term, spec: Spec) -> list:
@@ -464,9 +348,6 @@ class Lts(NamedTuple):
     edges: tuple
     roots: tuple
 
-    def out_edges(self, state: int):
-        return tuple(e for e in self.edges if e[0] == state)
-
 
 def build_lts(spec: Spec, roots=None, limit: int = 10 ** 6) -> Lts:
     """Explore the transition system from the given roots (main by default)."""
@@ -504,6 +385,50 @@ def build_lts(spec: Spec, roots=None, limit: int = 10 ** 6) -> Lts:
 
 
 # ---------------------------------------------------------------------------
+# compiling terms to nets
+
+def build_net(spec: Spec, term: Term = None) -> Net:
+    """Compile a term (spec.main by default) into its net.
+
+    The places are the sequential terms a token can reach from the
+    sequential components of the term, named by their renderings.  Each
+    move of such a term, as lts_step gives it, is one transition: to the
+    place of the derivative, or to the empty post-set when the
+    derivative is 0.  The initial marking is the decomposition of the
+    term.
+    """
+    t = spec.main if term is None else term
+    frontier = [(show(q), q) for q in components(t)]
+    places = {name for name, _ in frontier}
+    transitions = []
+    while frontier:
+        pre, q = frontier.pop()
+        for action, successor in lts_step(q, spec):
+            post = None if isinstance(successor, Nil) else show(successor)
+            if post is not None and post not in places:
+                places.add(post)
+                frontier.append((post, successor))
+            transitions.append((pre, action, post))
+    return Net(places, transitions, dec(t))
+
+
+def restrict_net(net: Net, high_names) -> Net:
+    """Drop every transition labelled with a high action.
+
+    Place names, place indexes and the initial marking stay those of the
+    given net, so its places and markings address the restricted net
+    directly; places no token can reach any more are kept.
+    """
+    blocked = {str(name) for name in high_names}
+    names = net.names
+    transitions = [
+        (names[t.pre], t.label, None if t.post is None else names[t.post])
+        for t in net.transitions if str(t.label) not in blocked
+    ]
+    return Net(names, transitions, net.name_marking(net.initial))
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 def net_to_json(net: Net) -> dict:
@@ -538,10 +463,6 @@ def net_from_json(data: dict, high_names=()) -> Net:
     initial = Marking((names[item["place"]], item["count"])
                       for item in data["initial"])
     return Net(names, transitions, initial)
-
-
-def net_to_json_text(net: Net) -> str:
-    return json.dumps(net_to_json(net), indent=2)
 
 
 def _dot_quote(text: str) -> str:

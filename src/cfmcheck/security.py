@@ -15,10 +15,10 @@ from .equiv import (
     branching_bisim, markings_equiv, rooted_partition, strong_partition,
 )
 from .net import (
-    Marking, Net, build_lts, build_net, reach_graph, restrict_net,
-    restriction_map,
+    Marking, Net, build_lts, build_net, components, reach_graph,
+    restrict_net,
 )
-from .syntax import Nil, Par, Spec, Term, show, sort
+from .syntax import Spec, show, sort
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,14 @@ class Verdict:
         return cls(method, not witnesses, witnesses, dict(stats))
 
 
-def _restricted_world(spec: Spec, net: Net, rooted: bool = False):
-    """The restricted net, the equivalence over it, and the place map."""
+def _restricted_partition(spec: Spec, net: Net, rooted: bool = False):
+    """The equivalence over the restricted net, whose places are those
+    of net under the same indexes."""
     restricted = restrict_net(net, spec.high_names)
     part = branching_bisim(restricted)
     if rooted:
         part = rooted_partition(restricted, part)
-    return restricted, part, restriction_map(net, restricted)
+    return part
 
 
 def _named_transition(net: Net, t):
@@ -81,18 +82,14 @@ def dni_definitional(spec: Spec, limit: int = 10 ** 6) -> Verdict:
     width.  Raises StateLimitError beyond the configured cap.
     """
     net = build_net(spec)
-    restricted, part, to_restricted = _restricted_world(spec, net)
-
-    def translate(m):
-        return Marking((to_restricted[p], c) for p, c in m.items())
-
+    part = _restricted_partition(spec, net)
     markings, edges = reach_graph(net, limit=limit)
     witnesses = []
     for source, t, target in edges:
         if not t.label.is_high:
             continue
         before, after = markings[source], markings[target]
-        if not markings_equiv(restricted, part, translate(before), translate(after)):
+        if not markings_equiv(part.net, part, before, after):
             context = net.name_marking(before - Marking.of(t.pre))
             witnesses.append(Witness(
                 _named_transition(net, t), context,
@@ -112,7 +109,7 @@ def dni_structural(spec: Spec, rooted: bool = False) -> Verdict:
     """
     method = "rooted" if rooted else "structural"
     net = build_net(spec)
-    restricted, part, to_restricted = _restricted_world(spec, net, rooted)
+    part = _restricted_partition(spec, net, rooted)
 
     witnesses = []
     for t in net.transitions:
@@ -123,30 +120,11 @@ def dni_structural(spec: Spec, rooted: bool = False) -> Verdict:
                 _named_transition(net, t), None,
                 "this high step consumes its token, which is observable"))
             continue
-        pre, post = to_restricted[t.pre], to_restricted[t.post]
-        if not part.same_class(pre, post):
+        if not part.same_class(t.pre, t.post):
             witnesses.append(Witness(
                 _named_transition(net, t), None,
                 "input and output place differ once high actions are hidden"))
     return Verdict.decide(method, witnesses, transitions=len(net.transitions))
-
-
-def components(term: Term) -> list:
-    """Distinct sequential components of a parallel term, sorted."""
-    found = {}
-
-    def walk(u):
-        match u:
-            case Nil():
-                pass
-            case Par(left, right):
-                walk(left)
-                walk(right)
-            case _:
-                found.setdefault(show(u), u)
-
-    walk(term)
-    return [term for _, term in sorted(found.items())]
 
 
 def dni_compositional(spec: Spec) -> Verdict:

@@ -289,30 +289,6 @@ def sort(t: Term, spec: Spec) -> frozenset:
     return frozenset(acts)
 
 
-def initials(t: Term, spec: Spec) -> frozenset:
-    """The set of actions t can perform first.
-
-    A constant unfolds into a guarded body, and guarded bodies contain
-    no bare constants, so the recursion meets at most one unfolding per
-    branch; the depth argument asserts that grammar invariant.
-    """
-
-    def walk(u, unfolds):
-        assert unfolds <= 1, "constant unfolding escaped the guarded category"
-        match u:
-            case Nil():
-                return frozenset()
-            case Prefix(action, _):
-                return frozenset([action])
-            case Sum(left, right) | Par(left, right):
-                return walk(left, unfolds) | walk(right, unfolds)
-            case Const(name):
-                return walk(spec.body_of(name), unfolds + 1)
-        raise TypeError(f"not a term: {u!r}")
-
-    return walk(t, 0)
-
-
 def rename_consts(t: Term, mapping: dict) -> Term:
     """Substitute constants by name; mapping values are replacement terms."""
     match t:

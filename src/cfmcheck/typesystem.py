@@ -11,10 +11,10 @@ term is accepted whenever some rearrangement of its choices is.
 from dataclasses import dataclass, replace
 
 from .equiv import terms_equiv
-from .net import build_net
+from .net import lts_step
 from .syntax import (
     NIL, PARALLEL, Const, Nil, Par, Prefix, Spec, Sum, Term, category,
-    initials, normalize_sum, restrict_syntactic, show, summands, sum_of,
+    normalize_sum, restrict_syntactic, show, summands, sum_of,
 )
 
 
@@ -42,15 +42,14 @@ def is_deadlock_place(t: Term, spec: Spec) -> bool:
     """True when t keeps its token but can never move.
 
     0 does not qualify: it decomposes to the empty marking instead of
-    occupying a place.  For anything else sequential, the net of t is
-    reachable from its single initial token, so t is stuck exactly when
-    that net has no transitions at all.
+    occupying a place.  Anything else sequential is one place, stuck
+    exactly when t has no move.
     """
     if isinstance(t, Nil):
         return False
     if category(t) == PARALLEL:
         raise ValueError(f"expected a sequential term, got {show(t)}")
-    return not build_net(spec, t).transitions
+    return not lts_step(t, spec)
 
 
 def decide_equational(p: Term, q: Term, spec: Spec) -> bool:
@@ -109,7 +108,7 @@ def type_check(spec: Spec, term: Term = None) -> TypingJudgment:
                     return combine(t, scanned, "prefix-low", [child])
                 if is_deadlock_place(body, spec):
                     return typed(t, scanned, "prefix-high-stuck")
-                starts = initials(body, spec)
+                starts = {a for a, _ in lts_step(body, spec)}
                 if starts and all(a.is_high for a in starts):
                     child = check(body, scanned)
                     return combine(t, scanned, "prefix-high-high", [child])

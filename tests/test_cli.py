@@ -153,7 +153,7 @@ class TestDniCommand:
 
         main(["dni", "--format", "json", insecure_path])
         first = json.loads(capsys.readouterr().out)
-        main(["--seed", "7", "dni", "--format", "json", insecure_path])
+        main(["dni", "--format", "json", insecure_path])
         second = json.loads(capsys.readouterr().out)
         assert strip(first) == strip(second)
 
@@ -190,6 +190,24 @@ class TestErrors:
 
     def test_bad_method(self, secure_path, capsys):
         assert main(["dni", "--method", "bogus", secure_path]) == 2
+
+    def test_deep_prefix_chain(self, tmp_path, capsys):
+        path = tmp_path / "deep.cfm"
+        path.write_text("main := " + "a." * 1500 + "0\n")
+        assert main(["dni", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_long_ring_typing(self, tmp_path, capsys):
+        n = 250
+        bodies = [f"l.C{(i + 1) % n}" for i in range(n)]
+        bodies[n // 2] = f"h.{bodies[n // 2]} + {bodies[n // 2]}"
+        defs = "\n".join(f"C{i} := {body}" for i, body in enumerate(bodies))
+        path = tmp_path / "ring.cfm"
+        path.write_text(f"high h\n{defs}\nmain := C0\n")
+        assert main(["type", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_help(self, capsys):
         assert main(["--help"]) == 0

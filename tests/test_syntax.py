@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cfmcheck.gen import random_guarded, random_spec
 from cfmcheck.syntax import (
     NIL, TAU, CategoryError, Const, Nil, Par, ParseError, Prefix, SpecError,
-    Sum, category, const_names, high, initials, is_observationally_guarded,
+    Sum, category, const_names, high, is_observationally_guarded,
     low, make_spec, normalize_sum, parse_spec, parse_term, rename_consts,
     restrict_syntactic, show, sort, summands,
 )
@@ -135,20 +135,6 @@ class TestSyntacticFunctions:
     def test_sort_of_example(self):
         spec = spec_of("high h\nmain := l.h.l.0 + l.0 + l.l.0")
         assert sort(spec.main, spec) == frozenset([low("l"), high("h")])
-
-    def test_initials(self):
-        spec = spec_of("high h\nC := h.l.C + l.C\nmain := C")
-        assert initials(spec.main, spec) == frozenset([high("h"), low("l")])
-        assert initials(NIL, spec) == frozenset()
-        assert initials(term_of("tau.0"), spec) == frozenset([TAU])
-
-    def test_initials_match_steps(self):
-        from cfmcheck.net import lts_step
-        rng = random.Random(6)
-        for _ in range(400):
-            spec = random_spec(rng)
-            expected = {a for a, _ in lts_step(spec.main, spec)}
-            assert initials(spec.main, spec) == frozenset(expected)
 
     def test_const_names(self):
         spec = spec_of("A := a.B\nB := b.0\nmain := A | B")
