@@ -7,8 +7,8 @@ non-interference, and type terms for the rooted variant.
 
 from .equiv import (
     Partition, branching_bisim, is_branching_bisimulation, markings_equiv,
-    naive_branching_fixpoint, rooted_partition, rooted_signature,
-    strong_bisim_lts, strong_partition, terms_equiv,
+    naive_branching_fixpoint, rooted_partition, strong_partition,
+    terms_equiv,
 )
 from .net import (
     Lts, Marking, Net, NotEnabledError, StateLimitError, THETA, Transition,

@@ -3,7 +3,8 @@
 Exit codes: 0 when the requested property holds (secure, typed,
 equivalent) or the requested artifact was produced, 1 when the property
 fails, 2 on usage, parse or resource errors, including input nested too
-deeply for the checker.
+deeply for the checker.  `dni` exits 1 when any verdict is insecure,
+else 2 when a capped check left its verdict inconclusive.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from .net import (
     StateLimitError, build_lts, build_net, dec, lts_to_dot, net_to_dot,
     net_to_json, reach,
 )
-from .syntax import SpecError, parse_spec, parse_term, show
+from .syntax import Par, SpecError, parse_spec, parse_term, show
 
 
 @dataclass
@@ -154,16 +155,16 @@ def run_equiv(config: RunConfig) -> int:
     spec = _load(config)
     left = parse_term(config.left, spec)
     right = parse_term(config.right, spec)
-    equal = equiv.terms_equiv(left, right, spec, rooted=config.rooted)
+    union = build_net(spec, Par(left, right))
+    part = equiv.branching_bisim(union)
+    if config.rooted:
+        part = equiv.rooted_partition(union, part)
+    m1, m2 = dec(left), dec(right)
+    equal = equiv.markings_equiv(union, part, union.intern_marking(m1),
+                                 union.intern_marking(m2))
 
     detail = ""
     if not equal:
-        from .syntax import Par
-        union = build_net(spec, Par(left, right))
-        part = equiv.branching_bisim(union)
-        if config.rooted:
-            part = equiv.rooted_partition(union, part)
-        m1, m2 = dec(left), dec(right)
         if m1.size == 1 and m2.size == 1:
             detail = equiv.explain_difference(
                 union, part,
@@ -220,12 +221,20 @@ def run_dni(config: RunConfig) -> int:
         } for v in verdicts], indent=2))
     else:
         for v in verdicts:
-            state = "secure" if v.secure else "insecure"
+            state = {True: "secure", False: "insecure",
+                     None: "inconclusive"}[v.secure]
             stats = ", ".join(f"{k}={v.stats[k]}" for k in sorted(v.stats))
             print(f"{v.method}: {state}" + (f"  ({stats})" if stats else ""))
             for w in v.witnesses:
                 print(f"  {w}")
-    return 0 if all(v.secure for v in verdicts) else 1
+    if any(v.secure is False for v in verdicts):
+        return 1
+    capped = [v.method for v in verdicts if v.secure is None]
+    if capped:
+        print(f"error: {', '.join(capped)} exceeded the cap of "
+              f"{config.max_states} states", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _derivation_json(d: typesystem.Derivation) -> dict:

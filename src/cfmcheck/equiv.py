@@ -1,13 +1,16 @@
 """Branching bisimilarity over net places, its rooted variant, and the
-lifting of both to markings by multiset-of-classes comparison.
+lifting of both to markings by multiset-of-classes comparison; strong
+bisimilarity over explicit transition systems.
 
 Two engines compute the place-level equivalence: a partition refinement
 that treats silent moves inside a candidate class as invisible, and a
 deliberately literal greatest-fixpoint construction used as an oracle in
-the test suite.  They must agree exactly.
+the test suite.  They must agree exactly.  The refinement's split round
+also yields the rooted and strong partitions and the observations that
+explain a difference.
 """
 
-from .net import Lts, Marking, Net, silent_closure
+from .net import Marking, Net, silent_closure
 from .syntax import Par, Spec, Term, category
 
 
@@ -82,105 +85,120 @@ class Partition:
         return {"classes": sorted(classes)}
 
 
+# ---------------------------------------------------------------------------
+# the refinement engine
+
+def _moves(net: Net) -> list:
+    """Per place, its (label, target) moves; the empty marking is target
+    len(net.names) and has no moves."""
+    n = len(net.names)
+    moves = [[] for _ in range(n + 1)]
+    for t in net.transitions:
+        moves[t.pre].append((t.label, n if t.post is None else t.post))
+    return moves
+
+
+def _observations(moves, class_of, state, inert=True) -> frozenset:
+    """The (label, target class) pairs a state can show.
+
+    With inert set, a silent move into the state's own class is no
+    observation: it is followed, and the moves of its target count.
+    """
+    mine = class_of[state]
+    seen = {state}
+    stack = [state]
+    found = set()
+    while stack:
+        for label, target in moves[stack.pop()]:
+            cls = class_of[target]
+            if inert and cls == mine and label.is_tau:
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+            else:
+                found.add((label, cls))
+    return frozenset(found)
+
+
+def _split(moves, class_of, inert) -> list:
+    """One round: regroup states by class and observations, numbering
+    the new classes by their smallest member."""
+    fresh = {}
+    return [fresh.setdefault((cls, _observations(moves, class_of, state, inert)),
+                             len(fresh))
+            for state, cls in enumerate(class_of)]
+
+
+def _refine(moves, class_of, inert=True) -> list:
+    """Split until the number of classes stops growing."""
+    count = len(set(class_of))
+    while True:
+        class_of = _split(moves, class_of, inert)
+        grown = max(class_of, default=-1) + 1
+        if grown == count:
+            return class_of
+        count = grown
+
+
 def branching_bisim(net: Net) -> Partition:
     """The coarsest branching bisimulation equivalence over net places.
 
-    Partition refinement: starting from one class of all places (the
-    empty marking alone in a second class), each round recomputes for
-    every place the set of observations it can make without leaving its
-    current class through silent moves, and splits classes by those
-    observation sets.  An observation is a pair of a label and a target
-    class, where a silent move into the place's own class is no
-    observation at all.
+    Signature refinement (Blom & Orzan): starting from one class of all
+    places and the empty marking alone in a second class, each round
+    splits classes by the observations their places make, where a
+    silent move into the place's own class is no observation at all.
     """
-    n = len(net.names)
-    theta = n
-    class_of = [0] * n + [1] if n else [1]
+    return Partition(net, _refine(_moves(net), [0] * len(net.names) + [1]))
 
-    def signature(place):
-        mine = class_of[place]
-        seen = {place}
-        stack = [place]
-        sig = set()
-        while stack:
-            u = stack.pop()
-            for t in net.out(u):
-                target = class_of[t.post] if t.post is not None else class_of[theta]
-                if t.label.is_tau and target == mine:
-                    if t.post not in seen:
-                        seen.add(t.post)
-                        stack.append(t.post)
-                else:
-                    sig.add((t.label, target))
-        return frozenset(sig)
 
-    count = 2 if n else 1
-    while True:
-        groups = {}
-        for place in range(n):
-            groups.setdefault((class_of[place], signature(place)), []).append(place)
-        if len(groups) + 1 == count:
-            break
-        fresh = {}
-        for key in sorted(groups, key=lambda k: min(groups[k])):
-            fresh[key] = len(fresh)
-        for key, places in groups.items():
-            for place in places:
-                class_of[place] = fresh[key]
-        class_of[theta] = len(fresh)
-        count = len(fresh) + 1
+# ---------------------------------------------------------------------------
+# the oracles, independent of the refinement engine
 
-    return Partition(net, class_of)
+def _closures(net: Net) -> list:
+    """Per place, the places it reaches through silent moves."""
+    return [tuple(p for p in silent_closure(net, place) if p is not None)
+            for place in range(len(net.names))]
+
+
+def _transfers(net: Net, closures, related, a: int, b: int) -> bool:
+    """Does b answer every move of a, as branching bisimulation demands?
+
+    A silent move may be dropped against a silently reached relative of
+    both endpoints, and any move may be matched after silent preparation,
+    with targets related or both empty.  related(x, y) is the candidate
+    relation.  Kept apart from the refinement engine, so that the
+    oracles built on it check that engine independently.
+    """
+    for t in net.out(a):
+        m1 = t.post
+        if t.label.is_tau and m1 is not None and any(
+                related(a, u) and related(m1, u) for u in closures[b]):
+            continue
+        if not any(t2.label == t.label
+                   and (t2.post is None if m1 is None
+                        else t2.post is not None and related(m1, t2.post))
+                   for u in closures[b] if related(a, u)
+                   for t2 in net.out(u)):
+            return False
+    return True
 
 
 def naive_branching_fixpoint(net: Net, max_places: int = 200) -> Partition:
     """Oracle engine: shrink the all-pairs relation until it transfers.
 
-    A pair of places survives when each move of one side is answered by
-    the other as the definition demands: a silent move may be dropped
-    against a silently reached relative of both endpoints, and any move
-    may be matched after silent preparation, with targets related or
-    both empty.  Quadratic in places and meant for tests only.
+    A pair of places survives while each side answers every move of the
+    other (see _transfers).  Quadratic in places and meant for tests
+    only.
     """
     n = len(net.names)
     if n > max_places:
         raise ValueError(f"oracle is capped at {max_places} places, net has {n}")
 
-    closures = []
-    for place in range(n):
-        closures.append(tuple(p for p in silent_closure(net, place) if p is not None))
-    outs = [net.out(p) for p in range(n)]
-
+    closures = _closures(net)
     related = [set(range(n)) for _ in range(n)]
 
-    def transfers(a, b):
-        for t in outs[a]:
-            m1 = t.post
-            matched = False
-            if t.label.is_tau and m1 is not None:
-                for u in closures[b]:
-                    if u in related[a] and u in related[m1]:
-                        matched = True
-                        break
-            if not matched:
-                for u in closures[b]:
-                    if u not in related[a]:
-                        continue
-                    for t2 in outs[u]:
-                        if t2.label != t.label:
-                            continue
-                        m2 = t2.post
-                        if m1 is None and m2 is None:
-                            matched = True
-                            break
-                        if m1 is not None and m2 is not None and m2 in related[m1]:
-                            matched = True
-                            break
-                    if matched:
-                        break
-            if not matched:
-                return False
-        return True
+    def relates(x, y):
+        return y in related[x]
 
     changed = True
     while changed:
@@ -189,7 +207,8 @@ def naive_branching_fixpoint(net: Net, max_places: int = 200) -> Partition:
             for b in sorted(related[a]):
                 if b <= a:
                     continue
-                if not (transfers(a, b) and transfers(b, a)):
+                if not (_transfers(net, closures, relates, a, b)
+                        and _transfers(net, closures, relates, b, a)):
                     related[a].discard(b)
                     related[b].discard(a)
                     changed = True
@@ -209,36 +228,7 @@ def naive_branching_fixpoint(net: Net, max_places: int = 200) -> Partition:
 def is_branching_bisimulation(net: Net, part: Partition) -> bool:
     """Check the transfer property for every pair the partition relates."""
     n = len(net.names)
-    closures = [tuple(p for p in silent_closure(net, place) if p is not None)
-                for place in range(n)]
-
-    def related(a, b):
-        return part.same_class(a, b)
-
-    def transfers(a, b):
-        for t in net.out(a):
-            m1 = t.post
-            if t.label.is_tau and m1 is not None and any(
-                    related(a, u) and related(m1, u) for u in closures[b]):
-                continue
-            hit = False
-            for u in closures[b]:
-                if not related(a, u):
-                    continue
-                for t2 in net.out(u):
-                    if t2.label != t.label:
-                        continue
-                    if (m1 is None) != (t2.post is None):
-                        continue
-                    if m1 is None or related(m1, t2.post):
-                        hit = True
-                        break
-                if hit:
-                    break
-            if not hit:
-                return False
-        return True
-
+    closures = _closures(net)
     for members in part.classes:
         places = sorted(e for e in members if e < n)
         if len(members) != len(places):  # the empty-marking class
@@ -247,7 +237,8 @@ def is_branching_bisimulation(net: Net, part: Partition) -> bool:
             continue
         for i, a in enumerate(places):
             for b in places[i + 1:]:
-                if not (transfers(a, b) and transfers(b, a)):
+                if not (_transfers(net, closures, part.same_class, a, b)
+                        and _transfers(net, closures, part.same_class, b, a)):
                     return False
     return True
 
@@ -255,23 +246,12 @@ def is_branching_bisimulation(net: Net, part: Partition) -> bool:
 # ---------------------------------------------------------------------------
 # the rooted variant
 
-def rooted_signature(net: Net, part: Partition, place: int) -> frozenset:
-    """Initial moves of a place, observed up to branching equivalence."""
-    return frozenset((t.label, part.class_of_post(t.post)) for t in net.out(place))
-
-
 def rooted_partition(net: Net, part: Partition = None) -> Partition:
-    """Group places by their rooted signatures over the branching classes."""
+    """Split the branching classes once by their places' initial moves,
+    silent ones included."""
     if part is None:
         part = branching_bisim(net)
-    n = len(net.names)
-    class_of = [0] * (n + 1)
-    groups = {}
-    for place in range(n):
-        sig = rooted_signature(net, part, place)
-        class_of[place] = groups.setdefault(sig, len(groups))
-    class_of[n] = len(groups)
-    return Partition(net, class_of)
+    return Partition(net, _split(_moves(net), part._class_of, inert=False))
 
 
 # ---------------------------------------------------------------------------
@@ -312,30 +292,10 @@ def terms_equiv(p: Term, q: Term, spec: Spec, rooted: bool = False) -> bool:
 
 def strong_partition(num_states: int, edges) -> list:
     """Class ids per state under strong bisimilarity, coarsest fit."""
-    outgoing = [[] for _ in range(num_states)]
+    moves = [[] for _ in range(num_states)]
     for src, label, dst in edges:
-        outgoing[src].append((label, dst))
-    class_of = [0] * num_states
-    count = 1
-    while True:
-        groups = {}
-        for state in range(num_states):
-            sig = frozenset((label, class_of[dst]) for label, dst in outgoing[state])
-            groups.setdefault((class_of[state], sig), []).append(state)
-        if len(groups) == count:
-            return class_of
-        fresh = {}
-        for key in sorted(groups, key=lambda k: min(groups[k])):
-            fresh[key] = len(fresh)
-        for key, states in groups.items():
-            for state in states:
-                class_of[state] = fresh[key]
-        count = len(fresh)
-
-
-def strong_bisim_lts(lts: Lts) -> list:
-    """Strong bisimilarity classes of the states of an explicit system."""
-    return strong_partition(len(lts.states), lts.edges)
+        moves[src].append((label, dst))
+    return _refine(moves, [0] * num_states, inert=False)
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +313,9 @@ def explain_difference(net: Net, part: Partition, s1: int, s2: int) -> str:
                          if e < len(net.names))
         return "the class of " + members[0]
 
-    def observations(place):
-        mine = part.class_of_place(place)
-        seen = {place}
-        stack = [place]
-        sig = set()
-        while stack:
-            u = stack.pop()
-            for t in net.out(u):
-                target = part.class_of_post(t.post)
-                if t.label.is_tau and target == mine and t.post is not None:
-                    if t.post not in seen:
-                        seen.add(t.post)
-                        stack.append(t.post)
-                else:
-                    sig.add((t.label, target))
-        return sig
-
-    left, right = observations(s1), observations(s2)
+    moves = _moves(net)
+    left = _observations(moves, part._class_of, s1)
+    right = _observations(moves, part._class_of, s2)
     for a, b, tag in ((left, right, (s1, s2)), (right, left, (s2, s1))):
         extra = a - b
         if extra:

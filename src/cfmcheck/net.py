@@ -170,13 +170,9 @@ class Net:
     Place indexes follow the sorted order of place names, transitions
     are sorted as well, so structurally equal nets compare and render
     identically.  `labels` holds the actions of the transitions.
-    `reachable` flags the places a token can ever visit from the
-    initial marking: every place of a compiled net, but not always every
-    place of a restricted one.
     """
 
-    __slots__ = ("names", "index", "transitions", "initial", "labels",
-                 "reachable", "_out")
+    __slots__ = ("names", "index", "transitions", "initial", "labels", "_out")
 
     def __init__(self, names, transitions, initial):
         self.names = tuple(sorted(set(names)))
@@ -197,21 +193,6 @@ class Net:
         for i, t in enumerate(self.transitions):
             out[t.pre].append(i)
         self._out = tuple(tuple(ts) for ts in out)
-        self.reachable = self._reachable_places()
-
-    def _reachable_places(self):
-        # one token can always fire: place-level reachability coincides
-        # with occurrence in some reachable marking
-        seen = set(p for p, _ in self.initial.items())
-        frontier = list(seen)
-        while frontier:
-            place = frontier.pop()
-            for i in self._out[place]:
-                post = self.transitions[i].post
-                if post is not None and post not in seen:
-                    seen.add(post)
-                    frontier.append(post)
-        return frozenset(seen)
 
     def out(self, place: int):
         """Transitions with the given input place."""

@@ -15,8 +15,8 @@ from .equiv import (
     branching_bisim, markings_equiv, rooted_partition, strong_partition,
 )
 from .net import (
-    Marking, Net, build_lts, build_net, components, reach_graph,
-    restrict_net,
+    Marking, Net, StateLimitError, build_lts, build_net, components,
+    reach_graph, restrict_net,
 )
 from .syntax import Spec, show, sort
 
@@ -43,15 +43,16 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a security check; secure holds iff witnesses is empty."""
+    """Outcome of a security check; secure holds iff witnesses is empty,
+    and is None when the check hit its state cap before deciding."""
 
     method: str
-    secure: bool
+    secure: bool | None
     witnesses: tuple = ()
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.secure != (not self.witnesses):
+        if self.secure is not None and self.secure != (not self.witnesses):
             raise ValueError("a verdict is secure exactly when no witness exists")
 
     @classmethod
@@ -177,7 +178,9 @@ def sbndc_interleaving(spec: Spec, limit: int = 10 ** 6) -> Verdict:
 
 
 def check_all(spec: Spec, limit: int = 10 ** 6, sbndc: bool = False) -> list:
-    """Run every procedure and return their verdicts, timed."""
+    """Run every procedure and return their verdicts, timed.  A procedure
+    that hits the cap gives an inconclusive verdict; the others still run.
+    """
     procedures = [
         ("definitional", lambda: dni_definitional(spec, limit)),
         ("structural", lambda: dni_structural(spec)),
@@ -187,9 +190,12 @@ def check_all(spec: Spec, limit: int = 10 ** 6, sbndc: bool = False) -> list:
     if sbndc:
         procedures.append(("sbndc", lambda: sbndc_interleaving(spec, limit)))
     verdicts = []
-    for _, run in procedures:
+    for method, run in procedures:
         started = time.perf_counter()
-        verdict = run()
+        try:
+            verdict = run()
+        except StateLimitError as error:
+            verdict = Verdict(method, None, stats={"cap": error.limit})
         verdict.stats["seconds"] = round(time.perf_counter() - started, 6)
         verdicts.append(verdict)
     return verdicts

@@ -146,6 +146,33 @@ class TestDniCommand:
         assert all(v["secure"] is False for v in data)
         assert data[0]["witnesses"]
 
+    def copies_path(self, tmp_path, high_body):
+        # twelve copies of a ten-constant ring: far more than 1000 markings
+        bodies = [f"a.C{(i + 1) % 10}" for i in range(10)]
+        bodies[8] = high_body
+        defs = "\n".join(f"C{i} := {body}" for i, body in enumerate(bodies))
+        path = tmp_path / "copies.cfm"
+        path.write_text(f"high h\n{defs}\nmain := {' | '.join(['C0'] * 12)}\n")
+        return str(path)
+
+    def test_cap_keeps_insecure_verdicts(self, tmp_path, capsys):
+        path = self.copies_path(tmp_path, "h.C9")
+        assert main(["dni", "--max-states", "1000", path]) == 1
+        out = capsys.readouterr().out
+        assert "definitional: inconclusive  (cap=1000, " in out
+        for method in ("structural", "compositional", "rooted"):
+            assert f"{method}: insecure" in out
+
+    def test_cap_on_secure_spec(self, tmp_path, capsys):
+        path = self.copies_path(tmp_path, "h.C9 + a.C9")
+        assert main(["dni", "--max-states", "1000", path]) == 2
+        captured = capsys.readouterr()
+        assert "definitional: inconclusive" in captured.out
+        for method in ("structural", "compositional", "rooted"):
+            assert f"{method}: secure" in captured.out
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
     def test_deterministic(self, insecure_path, capsys):
         def strip(verdicts):
             return [{k: v for k, v in verdict.items() if k != "stats"}

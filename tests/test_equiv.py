@@ -91,7 +91,8 @@ class TestDistinguishingNets:
             ["s1"])
         part = branching_bisim(net)
         text = explain_difference(net, part, place(net, "s1"), place(net, "s2"))
-        assert text
+        assert text == ("s1 can reach a 'a' step into the empty marking "
+                        "through inert silent moves, s2 cannot")
 
 
 class TestEngineAgreement:
@@ -385,4 +386,8 @@ class TestStrongPartition:
 
     def test_labels_split(self):
         cls = strong_partition(2, [(0, low("a"), 0), (1, low("b"), 1)])
+        assert cls[0] != cls[1]
+
+    def test_tau_stays_visible(self):
+        cls = strong_partition(3, [(0, TAU, 1), (1, low("a"), 2)])
         assert cls[0] != cls[1]

@@ -125,7 +125,14 @@ class TestBuildNet:
         rng = random.Random(11)
         for _ in range(300):
             net = build_net(random_spec(rng))
-            assert net.reachable == frozenset(range(len(net.names)))
+            seen = set(net.initial.dom())
+            frontier = list(seen)
+            while frontier:
+                for t in net.out(frontier.pop()):
+                    if t.post is not None and t.post not in seen:
+                        seen.add(t.post)
+                        frontier.append(t.post)
+            assert seen == set(range(len(net.names)))
 
     def test_net_of_subterm(self):
         spec = spec_of("high h\nC := h.l.C + l.C\nmain := C | C")
