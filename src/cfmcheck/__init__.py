@@ -12,9 +12,8 @@ from .equiv import (
 )
 from .net import (
     Lts, Marking, Net, NotEnabledError, StateLimitError, THETA, Transition,
-    build_lts, build_net, components, dec, fire, lts_step, net_from_json,
-    net_to_dot, net_to_json, reach, reach_graph, restrict_net,
-    silent_closure,
+    build_lts, build_net, components, dec, fire, lts_step, net_to_dot,
+    net_to_json, reach_graph, restrict_net, silent_closure,
 )
 from .security import (
     Verdict, Witness, check_all, dni_compositional, dni_definitional,

@@ -10,27 +10,29 @@ else 2 when a capped check left its verdict inconclusive.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import equiv, security, typesystem
 from .net import (
     StateLimitError, build_lts, build_net, dec, lts_to_dot, net_to_dot,
-    net_to_json, reach,
+    net_to_json, reach_graph,
 )
 from .syntax import Par, SpecError, parse_spec, parse_term, show
 
+# --method choices and the check_all methods each one runs
+_METHODS = {
+    "def": ("definitional",),
+    "struct": ("structural",),
+    "comp": ("compositional",),
+    "rooted": ("rooted",),
+    "all": security.DNI_METHODS,
+}
 
-@dataclass
-class RunConfig:
-    command: str
-    path: str
-    fmt: str = "text"
-    max_states: int = 10 ** 6
-    method: str = "all"
-    sbndc: bool = False
-    left: str = ""
-    right: str = ""
-    rooted: bool = False
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,52 +42,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "check distributed non-interference.")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def with_common(sub, formats=("text", "json")):
+    def command(name, run, about, formats=("text", "json"), capped=False):
+        sub = commands.add_parser(name, help=about)
+        sub.set_defaults(run=run)
         sub.add_argument("path", help="specification file")
         sub.add_argument("--format", dest="fmt", choices=formats,
                          default="text")
-        sub.add_argument("--max-states", type=int, default=10 ** 6,
-                         help="cap on explored states or markings")
+        if capped:
+            sub.add_argument("--max-states", type=_positive, default=10 ** 6,
+                             help="cap on explored states or markings")
+        return sub
 
-    with_common(commands.add_parser(
-        "net", help="compile the specification to its net"),
-        formats=("text", "json", "dot"))
-    with_common(commands.add_parser(
-        "lts", help="explore the transition system of main"),
-        formats=("text", "json", "dot"))
-    with_common(commands.add_parser(
-        "reach", help="enumerate the reachable markings"))
+    command("net", run_net, "compile the specification to its net",
+            formats=("text", "json", "dot"))
+    command("lts", run_lts, "explore the transition system of main",
+            formats=("text", "json", "dot"), capped=True)
+    command("reach", run_reach, "enumerate the reachable markings",
+            capped=True)
 
-    equiv_cmd = commands.add_parser(
-        "equiv", help="compare two terms up to branching team equivalence")
-    with_common(equiv_cmd)
+    equiv_cmd = command(
+        "equiv", run_equiv,
+        "compare two terms up to branching team equivalence")
     equiv_cmd.add_argument("--left", required=True, help="first term")
     equiv_cmd.add_argument("--right", required=True, help="second term")
     equiv_cmd.add_argument("--rooted", action="store_true",
                            help="use the rooted variant")
 
-    dni_cmd = commands.add_parser(
-        "dni", help="verify distributed non-interference")
-    with_common(dni_cmd)
-    dni_cmd.add_argument("--method",
-                         choices=("def", "struct", "comp", "rooted", "all"),
-                         default="all")
+    dni_cmd = command("dni", run_dni, "verify distributed non-interference",
+                      capped=True)
+    dni_cmd.add_argument("--method", choices=_METHODS, default="all")
     dni_cmd.add_argument("--sbndc", action="store_true",
                          help="also run the interleaving check")
 
-    with_common(commands.add_parser(
-        "type", help="type the specification for rooted security"))
-
+    command("type", run_type, "type the specification for rooted security")
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
-    namespace = build_parser().parse_args(argv)
-    return RunConfig(**vars(namespace))
-
-
-def _load(config: RunConfig):
-    with open(config.path, encoding="utf-8") as handle:
+def _load(args):
+    with open(args.path, encoding="utf-8") as handle:
         return parse_spec(handle.read())
 
 
@@ -93,12 +87,12 @@ def _marking_json(m):
     return [[place, count] for place, count in m.items()]
 
 
-def run_net(config: RunConfig) -> int:
-    spec = _load(config)
+def run_net(args) -> int:
+    spec = _load(args)
     net = build_net(spec)
-    if config.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(net_to_json(net), indent=2))
-    elif config.fmt == "dot":
+    elif args.fmt == "dot":
         print(net_to_dot(net), end="")
     else:
         print(f"places ({len(net.names)}):")
@@ -113,17 +107,17 @@ def run_net(config: RunConfig) -> int:
     return 0
 
 
-def run_lts(config: RunConfig) -> int:
-    spec = _load(config)
-    lts = build_lts(spec, limit=config.max_states)
-    if config.fmt == "json":
+def run_lts(args) -> int:
+    spec = _load(args)
+    lts = build_lts(spec, limit=args.max_states)
+    if args.fmt == "json":
         print(json.dumps({
             "states": list(lts.names),
             "edges": [{"from": src, "label": str(a), "to": dst}
                       for src, a, dst in lts.edges],
             "roots": list(lts.roots),
         }, indent=2))
-    elif config.fmt == "dot":
+    elif args.fmt == "dot":
         print(lts_to_dot(lts), end="")
     else:
         print(f"states ({len(lts.states)}):")
@@ -136,12 +130,12 @@ def run_lts(config: RunConfig) -> int:
     return 0
 
 
-def run_reach(config: RunConfig) -> int:
-    spec = _load(config)
+def run_reach(args) -> int:
+    spec = _load(args)
     net = build_net(spec)
     markings = [net.name_marking(m)
-                for m in reach(net, limit=config.max_states)]
-    if config.fmt == "json":
+                for m in reach_graph(net, args.max_states)[0]]
+    if args.fmt == "json":
         print(json.dumps({"markings": [_marking_json(m) for m in markings]},
                          indent=2))
     else:
@@ -151,16 +145,16 @@ def run_reach(config: RunConfig) -> int:
     return 0
 
 
-def run_equiv(config: RunConfig) -> int:
-    spec = _load(config)
-    left = parse_term(config.left, spec)
-    right = parse_term(config.right, spec)
+def run_equiv(args) -> int:
+    spec = _load(args)
+    left = parse_term(args.left, spec)
+    right = parse_term(args.right, spec)
     union = build_net(spec, Par(left, right))
     part = equiv.branching_bisim(union)
-    if config.rooted:
+    if args.rooted:
         part = equiv.rooted_partition(union, part)
     m1, m2 = dec(left), dec(right)
-    equal = equiv.markings_equiv(union, part, union.intern_marking(m1),
+    equal = equiv.markings_equiv(part, union.intern_marking(m1),
                                  union.intern_marking(m2))
 
     detail = ""
@@ -175,10 +169,10 @@ def run_equiv(config: RunConfig) -> int:
         else:
             detail = "no pairing of their components is classwise equal"
 
-    kind = "rooted branching team" if config.rooted else "branching team"
-    if config.fmt == "json":
+    kind = "rooted branching team" if args.rooted else "branching team"
+    if args.fmt == "json":
         print(json.dumps({
-            "left": show(left), "right": show(right), "rooted": config.rooted,
+            "left": show(left), "right": show(right), "rooted": args.rooted,
             "equivalent": equal, "detail": detail,
         }, indent=2))
     else:
@@ -198,21 +192,12 @@ def _witness_json(w: security.Witness) -> dict:
     }
 
 
-def run_dni(config: RunConfig) -> int:
-    spec = _load(config)
-    chosen = {
-        "def": lambda: [security.dni_definitional(spec, config.max_states)],
-        "struct": lambda: [security.dni_structural(spec)],
-        "comp": lambda: [security.dni_compositional(spec)],
-        "rooted": lambda: [security.rooted_dni(spec)],
-        "all": lambda: security.check_all(spec, config.max_states,
-                                          sbndc=config.sbndc),
-    }[config.method]
-    verdicts = chosen()
-    if config.method != "all" and config.sbndc:
-        verdicts.append(security.sbndc_interleaving(spec, config.max_states))
+def run_dni(args) -> int:
+    spec = _load(args)
+    methods = _METHODS[args.method] + ("sbndc",) * args.sbndc
+    verdicts = security.check_all(spec, args.max_states, methods)
 
-    if config.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps([{
             "method": v.method,
             "secure": v.secure,
@@ -232,7 +217,7 @@ def run_dni(config: RunConfig) -> int:
     capped = [v.method for v in verdicts if v.secure is None]
     if capped:
         print(f"error: {', '.join(capped)} exceeded the cap of "
-              f"{config.max_states} states", file=sys.stderr)
+              f"{args.max_states} states", file=sys.stderr)
         return 2
     return 0
 
@@ -246,10 +231,10 @@ def _derivation_json(d: typesystem.Derivation) -> dict:
     }
 
 
-def run_type(config: RunConfig) -> int:
-    spec = _load(config)
+def run_type(args) -> int:
+    spec = _load(args)
     judgment = typesystem.type_check(spec)
-    if config.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps({
             "term": show(judgment.term),
             "typed": judgment.typed,
@@ -265,25 +250,13 @@ def run_type(config: RunConfig) -> int:
     return 0 if judgment.typed else 1
 
 
-def run(config: RunConfig) -> int:
-    handler = {
-        "net": run_net,
-        "lts": run_lts,
-        "reach": run_reach,
-        "equiv": run_equiv,
-        "dni": run_dni,
-        "type": run_type,
-    }[config.command]
-    return handler(config)
-
-
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as stop:
         return 0 if stop.code in (0, None) else 2
     try:
-        return run(config)
+        return args.run(args)
     except (SpecError, StateLimitError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

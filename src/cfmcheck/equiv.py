@@ -75,15 +75,6 @@ class Partition:
     def __len__(self):
         return len(self.classes)
 
-    def to_json(self) -> dict:
-        theta = len(self.net.names)
-        classes = []
-        for members in self.classes:
-            names = sorted(self.net.names[e] for e in members if e != theta)
-            if names:
-                classes.append(names)
-        return {"classes": sorted(classes)}
-
 
 # ---------------------------------------------------------------------------
 # the refinement engine
@@ -246,18 +237,16 @@ def is_branching_bisimulation(net: Net, part: Partition) -> bool:
 # ---------------------------------------------------------------------------
 # the rooted variant
 
-def rooted_partition(net: Net, part: Partition = None) -> Partition:
-    """Split the branching classes once by their places' initial moves,
-    silent ones included."""
-    if part is None:
-        part = branching_bisim(net)
+def rooted_partition(net: Net, part: Partition) -> Partition:
+    """Split the branching classes part of net once by their places'
+    initial moves, silent ones included."""
     return Partition(net, _split(_moves(net), part._class_of, inert=False))
 
 
 # ---------------------------------------------------------------------------
 # markings
 
-def markings_equiv(net: Net, part: Partition, m1: Marking, m2: Marking) -> bool:
+def markings_equiv(part: Partition, m1: Marking, m2: Marking) -> bool:
     """Team equivalence: equal multisets of place classes.
 
     This is the additive closure of the place equivalence: markings
@@ -284,7 +273,7 @@ def terms_equiv(p: Term, q: Term, spec: Spec, rooted: bool = False) -> bool:
         part = rooted_partition(union, part)
     m1 = union.intern_marking(dec(p))
     m2 = union.intern_marking(dec(q))
-    return markings_equiv(union, part, m1, m2)
+    return markings_equiv(part, m1, m2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,9 @@ initial marking and a sequential term always owns exactly one token.
 Places are identified by the canonical rendering of sequential terms.
 """
 
-from collections import deque
 from typing import NamedTuple
 
-from .syntax import (
-    TAU, Action, Const, Nil, Par, Prefix, Spec, Sum, Term, show,
-)
+from .syntax import NIL, Action, Const, Nil, Par, Prefix, Spec, Sum, Term, show
 
 
 class NotEnabledError(ValueError):
@@ -225,37 +222,51 @@ def fire(net: Net, m: Marking, t: Transition) -> Marking:
     return (m - Marking.of(t.pre)) + (THETA if t.post is None else Marking.of(t.post))
 
 
-def reach(net: Net, start: Marking = None, limit: int = 10 ** 6) -> list:
-    """All reachable markings in breadth-first order (deduplicated)."""
-    markings, _ = reach_graph(net, start, limit)
-    return markings
+def _explore(roots, moves, limit=None) -> tuple:
+    """Breadth-first search that interns states by key in discovery order.
+
+    roots holds (key, state) pairs and moves(state) gives (label, key,
+    successor) triples.  Returns (keys, states, edges) with edges as
+    (source, label, target) index triples.  Interning a state beyond
+    limit states, roots included, raises StateLimitError.
+    """
+    keys, states, edges = [], [], []
+    index = {}
+
+    def intern(key, state):
+        i = index.get(key)
+        if i is None:
+            if limit is not None and len(keys) >= limit:
+                raise StateLimitError(limit)
+            i = index[key] = len(keys)
+            keys.append(key)
+            states.append(state)
+        return i
+
+    for key, state in roots:
+        intern(key, state)
+    cursor = 0
+    while cursor < len(states):
+        for label, key, successor in moves(states[cursor]):
+            edges.append((cursor, label, intern(key, successor)))
+        cursor += 1
+    return keys, states, edges
 
 
-def reach_graph(net: Net, start: Marking = None, limit: int = 10 ** 6) -> tuple:
+def reach_graph(net: Net, limit: int = 10 ** 6) -> tuple:
     """Reachable markings plus the firing edges between them.
 
-    Returns (markings, edges) where edges hold (source index,
-    transition, target index); indexes refer to the markings list.
+    Returns (markings, edges) where markings are in breadth-first order
+    from the initial marking and edges hold (source index, transition,
+    target index).
     """
-    m0 = net.initial if start is None else start
-    markings = [m0]
-    index = {m0: 0}
-    edges = []
-    cursor = 0
-    while cursor < len(markings):
-        m = markings[cursor]
+    def firings(m):
         for place, _ in m.items():
             for t in net.out(place):
                 m2 = fire(net, m, t)
-                j = index.get(m2)
-                if j is None:
-                    if len(markings) >= limit:
-                        raise StateLimitError(limit)
-                    j = len(markings)
-                    index[m2] = j
-                    markings.append(m2)
-                edges.append((cursor, t, j))
-        cursor += 1
+                yield t, m2, m2
+
+    markings, _, edges = _explore([(net.initial, net.initial)], firings, limit)
     return markings, edges
 
 
@@ -330,39 +341,16 @@ class Lts(NamedTuple):
     roots: tuple
 
 
-def build_lts(spec: Spec, roots=None, limit: int = 10 ** 6) -> Lts:
-    """Explore the transition system from the given roots (main by default)."""
-    root_terms = [spec.main] if roots is None else list(roots)
-    states = []
-    names = []
-    index = {}
-    edges = []
+def _derivatives(spec: Spec):
+    """The moves of a term for _explore: lts_step keyed by rendering."""
+    return lambda t: [(a, show(u), u) for a, u in lts_step(t, spec)]
 
-    def intern(term):
-        key = show(term)
-        if key not in index:
-            if len(states) >= limit:
-                raise StateLimitError(limit)
-            index[key] = len(states)
-            states.append(term)
-            names.append(key)
-        return index[key]
 
-    frontier = deque(intern(t) for t in root_terms)
-    explored = set()
-    while frontier:
-        i = frontier.popleft()
-        if i in explored:
-            continue
-        explored.add(i)
-        for action, successor in lts_step(states[i], spec):
-            j = intern(successor)
-            edges.append((i, action, j))
-            if j not in explored:
-                frontier.append(j)
-
-    root_ids = tuple(index[show(t)] for t in root_terms)
-    return Lts(tuple(states), tuple(names), tuple(edges), root_ids)
+def build_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
+    """Explore the transition system from main, state 0."""
+    names, states, edges = _explore([(show(spec.main), spec.main)],
+                                    _derivatives(spec), limit)
+    return Lts(tuple(states), tuple(names), tuple(edges), (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +367,13 @@ def build_net(spec: Spec, term: Term = None) -> Net:
     term.
     """
     t = spec.main if term is None else term
-    frontier = [(show(q), q) for q in components(t)]
-    places = {name for name, _ in frontier}
-    transitions = []
-    while frontier:
-        pre, q = frontier.pop()
-        for action, successor in lts_step(q, spec):
-            post = None if isinstance(successor, Nil) else show(successor)
-            if post is not None and post not in places:
-                places.add(post)
-                frontier.append((post, successor))
-            transitions.append((pre, action, post))
-    return Net(places, transitions, dec(t))
+    names, _, edges = _explore([(show(q), q) for q in components(t)],
+                               _derivatives(spec))
+    empty = show(NIL)
+    return Net([name for name in names if name != empty],
+               [(names[i], a, None if names[j] == empty else names[j])
+                for i, a, j in edges],
+               dec(t))
 
 
 def restrict_net(net: Net, high_names) -> Net:
@@ -424,26 +407,6 @@ def net_to_json(net: Net) -> dict:
             {"place": p, "count": c} for p, c in net.initial.items()
         ],
     }
-
-
-def net_from_json(data: dict, high_names=()) -> Net:
-    """Rebuild a net from net_to_json output; labels need the high alphabet."""
-    blocked = {str(n) for n in high_names}
-
-    def label_of(text):
-        if text == str(TAU):
-            return TAU
-        return Action("high" if text in blocked else "low", text)
-
-    names = list(data["places"])
-    transitions = [
-        (names[item["pre"]], label_of(item["label"]),
-         None if item["post"] is None else names[item["post"]])
-        for item in data["transitions"]
-    ]
-    initial = Marking((names[item["place"]], item["count"])
-                      for item in data["initial"])
-    return Net(names, transitions, initial)
 
 
 def _dot_quote(text: str) -> str:

@@ -59,10 +59,6 @@ class Action:
     def is_high(self):
         return self.level == "high"
 
-    @property
-    def is_low(self):
-        return self.level == "low"
-
     def __str__(self):
         return self.name if self.name else TAU_NAME
 
@@ -452,10 +448,6 @@ class _Scanner:
     def skip_space(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
-
-    def peek(self):
-        self.skip_space()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def take(self, expected):
         self.skip_space()

@@ -146,6 +146,13 @@ class TestDniCommand:
         assert all(v["secure"] is False for v in data)
         assert data[0]["witnesses"]
 
+    def test_single_method_stats(self, insecure_path, capsys):
+        assert main(["dni", "--method", "struct", "--format", "json",
+                     insecure_path]) == 1
+        [verdict] = json.loads(capsys.readouterr().out)
+        assert verdict["method"] == "structural"
+        assert "seconds" in verdict["stats"]
+
     def copies_path(self, tmp_path, high_body):
         # twelve copies of a ten-constant ring: far more than 1000 markings
         bodies = [f"a.C{(i + 1) % 10}" for i in range(10)]
@@ -162,6 +169,14 @@ class TestDniCommand:
         assert "definitional: inconclusive  (cap=1000, " in out
         for method in ("structural", "compositional", "rooted"):
             assert f"{method}: insecure" in out
+
+    def test_cap_keeps_single_method_verdict(self, tmp_path, capsys):
+        path = self.copies_path(tmp_path, "h.C9")
+        assert main(["dni", "--method", "struct", "--sbndc",
+                     "--max-states", "1000", path]) == 1
+        out = capsys.readouterr().out
+        assert "structural: insecure" in out
+        assert "sbndc: inconclusive" in out
 
     def test_cap_on_secure_spec(self, tmp_path, capsys):
         path = self.copies_path(tmp_path, "h.C9 + a.C9")
@@ -217,6 +232,14 @@ class TestErrors:
 
     def test_bad_method(self, secure_path, capsys):
         assert main(["dni", "--method", "bogus", secure_path]) == 2
+
+    def test_cap_must_be_positive(self, secure_path, capsys):
+        assert main(["reach", "--max-states", "0", secure_path]) == 2
+        assert "positive" in capsys.readouterr().err
+
+    def test_cap_only_where_explored(self, secure_path, capsys):
+        assert main(["type", "--max-states", "5", secure_path]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_deep_prefix_chain(self, tmp_path, capsys):
         path = tmp_path / "deep.cfm"

@@ -9,10 +9,10 @@ from cfmcheck.gen import random_spec
 from cfmcheck.net import StateLimitError
 from cfmcheck.security import (
     Verdict, Witness, check_all, components, dni_compositional,
-    dni_definitional, dni_structural, high_free, rooted_dni,
+    dni_definitional, dni_structural, rooted_dni,
     sbndc_interleaving,
 )
-from cfmcheck.syntax import NIL, Par, parse_spec, show
+from cfmcheck.syntax import NIL, Par, parse_spec, show, sort
 
 
 def spec_of(text):
@@ -141,7 +141,7 @@ class TestProcedureRelations:
         seen = 0
         while seen < 50:
             spec = random_spec(rng)
-            if not high_free(spec):
+            if any(a.is_high for a in sort(spec.main, spec)):
                 continue
             seen += 1
             for verdict in all_dni(spec):
@@ -173,13 +173,10 @@ class TestHelpers:
         found = [show(t) for t in components(spec.main)]
         assert found == ["A", "a.0"]
 
-    def test_high_free(self):
-        assert high_free(spec_of("high h\nmain := a.tau.0"))
-        assert not high_free(spec_of("high h\nA := a.h.A\nmain := l.A"))
-
     def test_check_all_reports_timing(self):
         spec = spec_of("high h\nmain := h.tau.(0 + 0)")
-        verdicts = check_all(spec, sbndc=True)
+        verdicts = check_all(spec, methods=(
+            "definitional", "structural", "compositional", "rooted", "sbndc"))
         assert [v.method for v in verdicts] == [
             "definitional", "structural", "compositional", "rooted", "sbndc"]
         assert all("seconds" in v.stats for v in verdicts)
