@@ -5,13 +5,17 @@ bisimilarity over explicit transition systems.
 Two engines compute the place-level equivalence: a partition refinement
 that treats silent moves inside a candidate class as invisible, and a
 deliberately literal greatest-fixpoint construction used as an oracle in
-the test suite.  They must agree exactly.  The refinement's split round
-also yields the rooted and strong partitions and the observations that
-explain a difference.
+the test suite.  They must agree exactly.  The refinement contracts
+silent cycles, signs states bottom-up along silent moves, and after a
+split signs again only the states the split touched; the same engine
+gives the strong partition, one more split round gives the rooted one,
+and the observations it signs with explain a difference.
 """
 
+from collections import defaultdict
+
 from .net import Marking, Net, silent_closure
-from .syntax import Par, Spec, Term, category
+from .syntax import TAU, Par, Spec, Term, category
 
 
 class Partition:
@@ -89,11 +93,13 @@ def _moves(net: Net) -> list:
     return moves
 
 
-def _observations(moves, class_of, state, inert=True) -> frozenset:
+def _observations(moves, class_of, state, inert=True, signed=None) -> frozenset:
     """The (label, target class) pairs a state can show.
 
     With inert set, a silent move into the state's own class is no
     observation: it is followed, and the moves of its target count.
+    Given signed, the stored observations per state, such a move adds
+    its target's stored entry instead of being followed.
     """
     mine = class_of[state]
     seen = {state}
@@ -105,7 +111,10 @@ def _observations(moves, class_of, state, inert=True) -> frozenset:
             if inert and cls == mine and label.is_tau:
                 if target not in seen:
                     seen.add(target)
-                    stack.append(target)
+                    if signed is None:
+                        stack.append(target)
+                    else:
+                        found |= signed[target]
             else:
                 found.add((label, cls))
     return frozenset(found)
@@ -120,26 +129,129 @@ def _split(moves, class_of, inert) -> list:
             for state, cls in enumerate(class_of)]
 
 
-def _refine(moves, class_of, inert=True) -> list:
-    """Split until the number of classes stops growing."""
-    count = len(set(class_of))
-    while True:
-        class_of = _split(moves, class_of, inert)
-        grown = max(class_of, default=-1) + 1
-        if grown == count:
-            return class_of
-        count = grown
+def _tau_components(moves) -> tuple:
+    """Per state, its strongly connected component under silent moves,
+    and the number of components.
+
+    An iterative Tarjan pass: components are numbered as they close, so
+    every silent move between two components goes to the smaller one.
+    """
+    n = len(moves)
+    after = [[target for label, target in out if label.is_tau] for out in moves]
+    comp, number, low, open_ = [-1] * n, [0] * n, [0] * n, []
+    clock = count = 0
+    for root in range(n):
+        if number[root]:
+            continue
+        work = [(root, iter(after[root]))]
+        clock += 1
+        number[root] = low[root] = clock
+        open_.append(root)
+        while work:
+            state, pending = work[-1]
+            for target in pending:
+                if not number[target]:
+                    clock += 1
+                    number[target] = low[target] = clock
+                    open_.append(target)
+                    work.append((target, iter(after[target])))
+                    break
+                if comp[target] < 0:
+                    low[state] = min(low[state], number[target])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[state])
+                if low[state] == number[state]:
+                    while comp[state] < 0:
+                        comp[open_.pop()] = count
+                    count += 1
+    return comp, count
+
+
+def _refine(moves, class_of, inert) -> list:
+    """The coarsest refinement of class_of in which all states of a
+    class make the same observations; class ids are not canonical.
+
+    With inert set, each silent cycle is contracted to one state, as its
+    states are always branching bisimilar, and states are signed
+    bottom-up along silent moves, so an inert move reads its target's
+    stored observations.  After a round only the states a split may have
+    changed are signed again: predecessors of moved states, moved states
+    with silent moves, and what reaches those by inert silent moves.  A
+    class keeps its id for its untouched members and the part that
+    observes as they do.
+    """
+    n = len(moves)
+    if inert:
+        rank, count = _tau_components(moves)
+        if count < n:
+            quotient = [[] for _ in range(count)]
+            start = [0] * count
+            for state, out in enumerate(moves):
+                mine = rank[state]
+                start[mine] = class_of[state]
+                quotient[mine].extend((label, rank[target]) for label, target in out
+                                      if rank[target] != mine or not label.is_tau)
+            merged = _refine(quotient, start, inert)
+            return [merged[c] for c in rank]
+    class_of = list(class_of)
+    size = [class_of.count(cls) for cls in range(max(class_of, default=-1) + 1)]
+    signed = [None] * n
+    kept = {}  # per class, the observations of its untouched members
+    before = [[] for _ in range(n)]
+    for state, out in enumerate(moves):
+        for label, target in out:
+            before[target].append((label, state))
+    touched = range(n)
+    while touched:
+        groups = defaultdict(lambda: defaultdict(list))
+        for state in sorted(touched, key=rank.__getitem__) if inert else touched:
+            signed[state] = seen = _observations(moves, class_of, state, inert, signed)
+            groups[class_of[state]][seen].append(state)
+        moved = []
+        for cls, parts in groups.items():
+            if sum(map(len, parts.values())) == size[cls]:
+                kept[cls] = max(parts, key=lambda seen: len(parts[seen]))
+            stay = parts.get(kept[cls])
+            for seen, states in parts.items():
+                if states is not stay:
+                    size[cls] -= len(states)
+                    kept[len(size)] = seen
+                    for state in states:
+                        class_of[state] = len(size)
+                    size.append(len(states))
+                    moved.extend(states)
+        touched = {source for state in moved for _, source in before[state]}
+        if inert:
+            touched.update(state for state in moved
+                           if any(label.is_tau for label, _ in moves[state]))
+            stack = list(touched)
+            while stack:
+                state = stack.pop()
+                for label, source in before[state]:
+                    if (label.is_tau and source not in touched
+                            and class_of[source] == class_of[state]):
+                        touched.add(source)
+                        stack.append(source)
+    return class_of
 
 
 def branching_bisim(net: Net) -> Partition:
     """The coarsest branching bisimulation equivalence over net places.
 
     Signature refinement (Blom & Orzan): starting from one class of all
-    places and the empty marking alone in a second class, each round
-    splits classes by the observations their places make, where a
-    silent move into the place's own class is no observation at all.
+    places and the empty marking alone in a second class, classes split
+    by the observations their places make, where a silent move into the
+    place's own class is no observation at all.  Silent cycles are
+    contracted first (Groote, Jansen, Keiren & Wijs), each place reads
+    the stored observations of its inert silent successors, and after a
+    split only the places it touched are signed again.  A net without
+    silent moves is refined as for strong bisimilarity, which it then is.
     """
-    return Partition(net, _refine(_moves(net), [0] * len(net.names) + [1]))
+    return Partition(net, _refine(_moves(net), [0] * len(net.names) + [1],
+                                  inert=TAU in net.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +392,15 @@ def terms_equiv(p: Term, q: Term, spec: Spec, rooted: bool = False) -> bool:
 # strong bisimilarity on explicit transition systems
 
 def strong_partition(num_states: int, edges) -> list:
-    """Class ids per state under strong bisimilarity, coarsest fit."""
+    """Class ids per state under strong bisimilarity, coarsest fit,
+    numbered by smallest member: the refinement engine with every move
+    observed."""
     moves = [[] for _ in range(num_states)]
     for src, label, dst in edges:
         moves[src].append((label, dst))
-    return _refine(moves, [0] * num_states, inert=False)
+    relabel = {}
+    return [relabel.setdefault(cls, len(relabel))
+            for cls in _refine(moves, [0] * num_states, inert=False)]
 
 
 # ---------------------------------------------------------------------------

@@ -291,20 +291,17 @@ def silent_closure(net: Net, place: int) -> frozenset:
 # ---------------------------------------------------------------------------
 # the term-level transition system
 
-def lts_step(t: Term, spec: Spec) -> list:
-    """One-step successors of t with their actions, deduplicated.
-
-    Choice offers the moves of both summands and disappears, parallel
-    composition interleaves, and a constant moves like its body.
-    """
+def _steps(t: Term, spec: Spec) -> list:
+    """The distinct moves of t as (action, rendering, successor), each
+    successor rendered once."""
     seen = set()
     result = []
 
     def emit(action, successor):
-        key = (action, show(successor))
-        if key not in seen:
-            seen.add(key)
-            result.append((action, successor))
+        key = show(successor)
+        if (action, key) not in seen:
+            seen.add((action, key))
+            result.append((action, key, successor))
 
     def walk(u, wrap):
         match u:
@@ -327,6 +324,15 @@ def lts_step(t: Term, spec: Spec) -> list:
     return result
 
 
+def lts_step(t: Term, spec: Spec) -> list:
+    """One-step successors of t with their actions, deduplicated.
+
+    Choice offers the moves of both summands and disappears, parallel
+    composition interleaves, and a constant moves like its body.
+    """
+    return [(action, successor) for action, _, successor in _steps(t, spec)]
+
+
 class Lts(NamedTuple):
     """An explicit labelled transition system.
 
@@ -342,8 +348,8 @@ class Lts(NamedTuple):
 
 
 def _derivatives(spec: Spec):
-    """The moves of a term for _explore: lts_step keyed by rendering."""
-    return lambda t: [(a, show(u), u) for a, u in lts_step(t, spec)]
+    """The moves of a term for _explore, keyed by rendering."""
+    return lambda t: _steps(t, spec)
 
 
 def build_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:

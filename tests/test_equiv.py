@@ -4,16 +4,17 @@ the property classes drive randomized nets through the laws the
 equivalence must satisfy."""
 
 import random
+import time
 
 import pytest
 
 from cfmcheck.equiv import (
-    Partition, branching_bisim, explain_difference, is_branching_bisimulation,
-    markings_equiv, naive_branching_fixpoint, rooted_partition,
-    strong_partition, terms_equiv,
+    Partition, _moves, _split, branching_bisim, explain_difference,
+    is_branching_bisimulation, markings_equiv, naive_branching_fixpoint,
+    rooted_partition, strong_partition, terms_equiv,
 )
 from cfmcheck.gen import random_marking, random_net, random_spec
-from cfmcheck.net import Marking, Net, build_net, dec, fire
+from cfmcheck.net import Marking, Net, build_net, dec, fire, restrict_net
 from cfmcheck.syntax import TAU, low, make_spec, parse_spec, parse_term
 
 
@@ -108,6 +109,95 @@ class TestEngineAgreement:
         net = Net(names, [], Marking.of("s0"))
         with pytest.raises(ValueError):
             naive_branching_fixpoint(net)
+
+
+def split_until_stable(moves, class_of, inert):
+    """The plain signature loop: whole rounds until no class splits."""
+    while True:
+        split = _split(moves, class_of, inert)
+        if len(set(split)) == len(set(class_of)):
+            return split
+        class_of = split
+
+
+class TestIncrementalRefinement:
+    """The engine against the plain loop it replaced, class ids included."""
+
+    def agree(self, net):
+        n = len(net.names)
+        moves = _moves(net)
+        plain = Partition(net, split_until_stable(moves, [0] * n + [1], True))
+        assert branching_bisim(net) == plain
+        edges = [(t.pre, t.label, n if t.post is None else t.post)
+                 for t in net.transitions]
+        assert (strong_partition(n + 1, edges)
+                == split_until_stable(moves, [0] * (n + 1), False))
+
+    def test_small_nets(self):
+        rng = random.Random(32)
+        for _ in range(3000):
+            self.agree(random_net(rng, max_places=20, max_transitions=50,
+                                  tau_density=rng.uniform(0.0, 0.6)))
+
+    def test_large_nets(self):
+        rng = random.Random(33)
+        for _ in range(200):
+            self.agree(random_net(rng, max_places=300, max_transitions=900,
+                                  tau_density=rng.uniform(0.0, 0.6)))
+
+
+def silent_line(n, closed):
+    """n places joined by silent moves, closed into a cycle or ending
+    in an a step to the empty marking."""
+    names = [f"p{i:05d}" for i in range(n)]
+    moves = [(names[i], "tau", names[i + 1]) for i in range(n - 1)]
+    moves.append((names[-1], "tau", names[0]) if closed else (names[-1], "a", None))
+    return net_of(names, moves, [names[0]])
+
+
+def timed(label, work):
+    start = time.perf_counter()
+    result = work()
+    elapsed = time.perf_counter() - start
+    print(f"{label}: {elapsed:.3f} s")
+    return result, elapsed
+
+
+class TestRefinementScaling:
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_long_silent_line_is_one_class(self, closed):
+        net = silent_line(20000, closed)
+        part, _ = timed(f"silent line, closed={closed}", lambda: branching_bisim(net))
+        assert len(part.classes) == 2
+        assert part.classes[part.theta_class] == frozenset([20000])
+
+    def test_restricted_insecure_ring(self):
+        n = 6400
+        lines = [f"C{i} := a.C{(i + 1) % n}" for i in range(n)]
+        lines[n // 2] = f"C{n // 2} := h.C{n // 2 + 1}"
+        spec = parse_spec("high h\n" + "\n".join(lines) + "\nmain := C0\n")
+        net = restrict_net(build_net(spec), spec.high_names)
+        part, elapsed = timed("restricted ring 6400", lambda: branching_bisim(net))
+        assert len(part.classes) == n + 1
+        assert elapsed < 2.0
+
+    def test_dense_silent_random_net(self):
+        rng = random.Random(34)
+        names = [f"s{i}" for i in range(1681)]
+        moves = set()
+        while len(moves) < 7386:
+            moves.add((rng.choice(names), "tau" if rng.random() < 0.5
+                       else rng.choice("abcd"), rng.choice(names)))
+        net = net_of(names, moves, ["s0"])
+        part, elapsed = timed("random 1681/7386", lambda: branching_bisim(net))
+        assert part.classes[part.theta_class] == frozenset([1681])
+        assert elapsed < 2.0
+
+    def test_silent_chain(self):
+        net = silent_line(2000, closed=False)
+        part, elapsed = timed("silent chain 2000", lambda: branching_bisim(net))
+        assert len(part.classes) == 2
+        assert elapsed < 0.5
 
 
 class TestPartitionObject:
