@@ -6,6 +6,7 @@ initial marking and a sequential term always owns exactly one token.
 Places are identified by the canonical rendering of sequential terms.
 """
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .syntax import NIL, Action, Const, Nil, Par, Prefix, Spec, Sum, Term, show
@@ -16,11 +17,15 @@ class NotEnabledError(ValueError):
 
 
 class StateLimitError(RuntimeError):
-    """An exhaustive exploration hit its configured marking cap."""
+    """An exhaustive exploration hit its configured marking cap.
 
-    def __init__(self, limit):
+    explored counts the states whose moves were fully expanded by then.
+    """
+
+    def __init__(self, limit, explored=0):
         super().__init__(f"state space exceeds the cap of {limit} markings")
         self.limit = limit
+        self.explored = explored
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +36,9 @@ class Marking:
 
     Places may be names or interned indexes; a marking never mixes the
     two.  The empty marking doubles as the target of transitions whose
-    token disappears.
+    token disappears.  A marking is identified by its key, the tuple of
+    its (place, count) pairs sorted by place with every count positive;
+    _of_key wraps a key that is already in that form.
     """
 
     __slots__ = ("_counts", "_key")
@@ -50,6 +57,13 @@ class Marking:
     @classmethod
     def of(cls, *places):
         return cls((p, 1) for p in places)
+
+    @classmethod
+    def _of_key(cls, key):
+        m = object.__new__(cls)
+        m._counts = dict(key)
+        m._key = key
+        return m
 
     @property
     def size(self):
@@ -228,16 +242,18 @@ def _explore(roots, moves, limit=None) -> tuple:
     roots holds (key, state) pairs and moves(state) gives (label, key,
     successor) triples.  Returns (keys, states, edges) with edges as
     (source, label, target) index triples.  Interning a state beyond
-    limit states, roots included, raises StateLimitError.
+    limit states, roots included, raises StateLimitError, which records
+    how many states were fully expanded.
     """
     keys, states, edges = [], [], []
     index = {}
+    cursor = 0
 
     def intern(key, state):
         i = index.get(key)
         if i is None:
             if limit is not None and len(keys) >= limit:
-                raise StateLimitError(limit)
+                raise StateLimitError(limit, cursor)
             i = index[key] = len(keys)
             keys.append(key)
             states.append(state)
@@ -245,7 +261,6 @@ def _explore(roots, moves, limit=None) -> tuple:
 
     for key, state in roots:
         intern(key, state)
-    cursor = 0
     while cursor < len(states):
         for label, key, successor in moves(states[cursor]):
             edges.append((cursor, label, intern(key, successor)))
@@ -258,16 +273,34 @@ def reach_graph(net: Net, limit: int = 10 ** 6) -> tuple:
 
     Returns (markings, edges) where markings are in breadth-first order
     from the initial marking and edges hold (source index, transition,
-    target index).
+    target index).  The search runs on marking keys: firing t at a key
+    drops one token of t.pre and splices one token of t.post back in by
+    bisection, which is fire() without its intermediate markings.  Each
+    reached key becomes one Marking at the end.
     """
-    def firings(m):
-        for place, _ in m.items():
-            for t in net.out(place):
-                m2 = fire(net, m, t)
-                yield t, m2, m2
+    outs = [net.out(place) for place in range(len(net.names))]
 
-    markings, _, edges = _explore([(net.initial, net.initial)], firings, limit)
-    return markings, edges
+    def firings(key):
+        for k, (place, count) in enumerate(key):
+            if count > 1:
+                rest = key[:k] + ((place, count - 1),) + key[k + 1:]
+            else:
+                rest = key[:k] + key[k + 1:]
+            for t in outs[place]:
+                post = t.post
+                if post is None:
+                    yield t, rest, rest
+                    continue
+                j = bisect_left(rest, (post,))
+                if j < len(rest) and rest[j][0] == post:
+                    after = rest[:j] + ((post, rest[j][1] + 1),) + rest[j + 1:]
+                else:
+                    after = rest[:j] + ((post, 1),) + rest[j:]
+                yield t, after, after
+
+    start = net.initial.items()
+    keys, _, edges = _explore([(start, start)], firings, limit)
+    return [Marking._of_key(key) for key in keys], edges
 
 
 def silent_closure(net: Net, place: int) -> frozenset:

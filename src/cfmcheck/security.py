@@ -201,7 +201,8 @@ def check_all(spec: Spec, limit: int = 10 ** 6, methods=DNI_METHODS) -> list:
         try:
             verdict = _PROCEDURES[method](spec, limit)
         except StateLimitError as error:
-            verdict = Verdict(method, None, stats={"cap": error.limit})
+            verdict = Verdict(method, None, stats={
+                "cap": error.limit, "explored": error.explored})
         verdict.stats["seconds"] = round(time.perf_counter() - started, 6)
         verdicts.append(verdict)
     return verdicts

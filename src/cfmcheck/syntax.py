@@ -12,6 +12,7 @@ Actions are partitioned into low and high names plus the silent action tau.
 
 import string
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 
 class SpecError(Exception):
@@ -38,18 +39,28 @@ class CategoryError(SpecError):
 TAU_NAME = "tau"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Action:
-    """A visible action name tagged with its security level, or tau."""
+class Action(tuple):
+    """A visible action name tagged with its security level, or tau.
 
-    level: str  # "low", "high" or "tau"
-    name: str = ""
+    An action is the pair (level, name), so actions hash, compare and
+    order as tuples do, without Python code per call.
+    """
 
-    def __post_init__(self):
-        if self.level not in ("low", "high", "tau"):
-            raise ValueError(f"unknown action level {self.level!r}")
-        if (self.level == "tau") != (self.name == ""):
+    __slots__ = ()
+
+    def __new__(cls, level: str, name: str = ""):
+        if level not in ("low", "high", "tau"):
+            raise ValueError(f"unknown action level {level!r}")
+        if (level == "tau") != (name == ""):
             raise ValueError("tau carries no name, visible actions need one")
+        return tuple.__new__(cls, (level, name))
+
+    level = property(itemgetter(0))
+    name = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild an action through __new__(level, name)
+        return tuple(self)
 
     @property
     def is_tau(self):
@@ -58,6 +69,9 @@ class Action:
     @property
     def is_high(self):
         return self.level == "high"
+
+    def __repr__(self):
+        return f"Action(level={self.level!r}, name={self.name!r})"
 
     def __str__(self):
         return self.name if self.name else TAU_NAME

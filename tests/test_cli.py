@@ -169,6 +169,13 @@ class TestDniCommand:
         assert "definitional: inconclusive  (cap=1000, " in out
         for method in ("structural", "compositional", "rooted"):
             assert f"{method}: insecure" in out
+        assert main(["dni", "--format", "json", "--max-states", "1000",
+                     path]) == 1
+        verdicts = json.loads(capsys.readouterr().out)
+        stats = next(v["stats"] for v in verdicts
+                     if v["method"] == "definitional")
+        assert stats["cap"] == 1000 and 0 < stats["explored"] <= 1000
+        assert f"explored={stats['explored']}, " in out
 
     def test_cap_keeps_single_method_verdict(self, tmp_path, capsys):
         path = self.copies_path(tmp_path, "h.C9")

@@ -5,11 +5,11 @@ import time
 
 import pytest
 
-from cfmcheck.gen import random_spec
+from cfmcheck.gen import random_marking, random_net, random_spec
 from cfmcheck.net import (
     THETA, Marking, Net, NotEnabledError, StateLimitError, Transition,
-    build_lts, build_net, dec, fire, lts_step, net_to_dot, net_to_json,
-    reach_graph, restrict_net, silent_closure,
+    _explore, build_lts, build_net, dec, fire, lts_step, net_to_dot,
+    net_to_json, reach_graph, restrict_net, silent_closure,
 )
 from cfmcheck.security import dni_structural
 from cfmcheck.syntax import (
@@ -213,6 +213,82 @@ class TestFiringAndReachability:
         names = {None if p is None else net.names[p]
                  for p in silent_closure(net, root)}
         assert names == {"tau.tau.a.0 + b.0", "tau.a.0", "a.0"}
+
+
+def fired_reach_graph(net, limit):
+    """The marking graph by the definition of firing: fire() at every
+    Marking, interned by Marking.  reach_graph must match it exactly."""
+    def firings(m):
+        for place, _ in m.items():
+            for t in net.out(place):
+                after = fire(net, m, t)
+                yield t, after, after
+
+    markings, _, edges = _explore([(net.initial, net.initial)], firings, limit)
+    return markings, edges
+
+
+def capped(explore, net, limit):
+    try:
+        return explore(net, limit)
+    except StateLimitError as error:
+        return "capped", error.explored
+
+
+class TestReachGraphAgainstFiring:
+    def assert_same(self, net, limit=5000):
+        expected = capped(fired_reach_graph, net, limit)
+        got = capped(reach_graph, net, limit)
+        assert got == expected
+        if got[0] == "capped":
+            return 0
+        markings, edges = got
+        for source, t, target in edges:
+            assert fire(net, markings[source], t) == markings[target]
+        for m in markings:
+            assert all(m.count(p) == c for p, c in m.items())
+        return len(markings)
+
+    def test_random_specs(self):
+        rng = random.Random(7)
+        reached = sum(self.assert_same(build_net(random_spec(rng)))
+                      for _ in range(2000))
+        assert reached > 50000
+
+    def test_random_nets_from_multi_token_markings(self):
+        # small nets and up to 5 tokens: repeated tokens on one place,
+        # pre == post self-loops and empty post-sets all occur
+        rng = random.Random(8)
+        repeated = capped_draws = 0
+        for _ in range(300):
+            net = random_net(rng, max_places=8, max_transitions=20)
+            start = random_marking(rng, net, max_tokens=5)
+            repeated += any(c > 1 for _, c in start.items())
+            names = net.names
+            net = Net(names,
+                      [(names[t.pre], t.label,
+                        None if t.post is None else names[t.post])
+                       for t in net.transitions],
+                      net.name_marking(start))
+            self.assert_same(net)
+            # a tight cap: both explorations stop at the same state
+            capped_draws += self.assert_same(net, limit=20) == 0
+        assert repeated > 50 and capped_draws > 20
+
+    def test_copies_scale(self):
+        # criterion 7's insecure 10-constant ring, 8 copies
+        lines = ["high h"]
+        lines += [f"C{i} := {'h' if i == 8 else 'a'}.C{(i + 1) % 10}"
+                  for i in range(10)]
+        lines.append("main := " + " | ".join(["C0"] * 8))
+        net = build_net(spec_of("\n".join(lines)))
+        started = time.perf_counter()
+        markings, edges = reach_graph(net)
+        elapsed = time.perf_counter() - started
+        print(f"8 ring copies: {len(markings)} markings, {len(edges)} edges "
+              f"in {elapsed:.3f}s")
+        assert (len(markings), len(edges)) == (24310, 114400)
+        assert elapsed < 2.5
 
 
 class TestRestrictNet:

@@ -1,5 +1,7 @@
 """Parsing, rendering, categories, and the syntactic functions."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cfmcheck.gen import random_guarded, random_spec
 from cfmcheck.syntax import (
-    NIL, TAU, CategoryError, Const, Nil, Par, ParseError, Prefix, SpecError,
+    NIL, TAU, Action, CategoryError, Const, Nil, Par, ParseError, Prefix, SpecError,
     Sum, category, const_names, high, is_observationally_guarded,
     low, make_spec, normalize_sum, parse_spec, parse_term, rename_consts,
     restrict_syntactic, show, sort, summands,
@@ -20,6 +22,37 @@ def spec_of(text):
 
 def term_of(text, spec_text="high h\nmain := 0"):
     return parse_term(text, parse_spec(spec_text))
+
+
+class TestAction:
+    def test_validation(self):
+        for level, name in (("mid", "a"), ("tau", "a"), ("low", ""), ("high", "")):
+            with pytest.raises(ValueError):
+                Action(level, name)
+
+    def test_fields_and_rendering(self):
+        assert (TAU.level, TAU.name, str(TAU)) == ("tau", "", "tau")
+        assert (high("h").level, high("h").name, str(high("h"))) == ("high", "h", "h")
+        assert TAU.is_tau and not TAU.is_high
+        assert high("h").is_high and not low("h").is_high and not low("h").is_tau
+        assert repr(low("a")) == "Action(level='low', name='a')"
+
+    def test_equal_actions_hash_equal(self):
+        assert low("a") == Action("low", "a") and hash(low("a")) == hash(Action("low", "a"))
+        assert low("a") != high("a") and low("a") != low("b")
+        assert len({low("a"), Action("low", "a"), high("a"), TAU, Action("tau")}) == 3
+
+    def test_order_is_level_then_name(self):
+        actions = [low("b"), TAU, high("z"), low("a"), high("a")]
+        assert sorted(actions) == sorted(actions, key=lambda a: (a.level, a.name))
+        assert sorted(actions)[0] == high("a")
+
+    def test_immutable_and_copyable(self):
+        with pytest.raises(AttributeError):
+            low("a").name = "b"
+        copied = pickle.loads(pickle.dumps(low("a")))
+        assert copied == low("a") and type(copied) is Action
+        assert copy.deepcopy(high("h")) == high("h")
 
 
 class TestParsing:
