@@ -10,9 +10,10 @@ per-component decomposition, and they must agree.
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .equiv import (
-    branching_bisim, markings_equiv, rooted_partition, strong_partition,
+    Partition, branching_bisim, rooted_partition, strong_partition,
 )
 from .net import (
     Marking, Net, StateLimitError, build_lts, build_net, components,
@@ -61,14 +62,62 @@ class Verdict:
         return cls(method, not witnesses, witnesses, dict(stats))
 
 
-def _restricted_partition(spec: Spec, net: Net, rooted: bool = False):
-    """The equivalence over the restricted net, whose places are those
-    of net under the same indexes."""
-    restricted = restrict_net(net, spec.high_names)
-    part = branching_bisim(restricted)
-    if rooted:
-        part = rooted_partition(restricted, part)
-    return part
+class _Analysis:
+    """What the definitional, structural and rooted checks of one spec
+    share: its net, the net with high actions restricted away, and the
+    branching and rooted partitions of the restricted net.  Each is
+    built on first use and at most once.
+
+    stats counts places, transitions, classes and, once split,
+    rooted_classes, and times each phase run: build_s, restrict_s,
+    refine_s and rooted_s.
+    """
+
+    def __init__(self, spec: Spec):
+        self.spec = spec
+        self.stats = {}
+        self._unreported = set()
+
+    def _phase(self, name, build, *args):
+        started = time.perf_counter()
+        result = build(*args)
+        self.stats[name] = round(time.perf_counter() - started, 6)
+        self._unreported.add(name)
+        return result
+
+    @cached_property
+    def net(self) -> Net:
+        net = self._phase("build_s", build_net, self.spec)
+        self.stats.update(places=len(net.names),
+                          transitions=len(net.transitions))
+        return net
+
+    @cached_property
+    def restricted(self) -> Net:
+        """The net without high transitions, under the same place indexes."""
+        return self._phase("restrict_s", restrict_net, self.net,
+                           self.spec.high_names)
+
+    @cached_property
+    def partition(self) -> Partition:
+        part = self._phase("refine_s", branching_bisim, self.restricted)
+        self.stats["classes"] = len(part)
+        return part
+
+    @cached_property
+    def rooted(self) -> Partition:
+        part = self._phase("rooted_s", rooted_partition, self.restricted,
+                           self.partition)
+        self.stats["rooted_classes"] = len(part)
+        return part
+
+    def report(self) -> dict:
+        """The counts so far, and the seconds of the phases run since the
+        last report only, so that no two verdicts count a phase twice."""
+        stats = {key: value for key, value in self.stats.items()
+                 if not key.endswith("_s") or key in self._unreported}
+        self._unreported.clear()
+        return stats
 
 
 def _named_transition(net: Net, t):
@@ -76,30 +125,39 @@ def _named_transition(net: Net, t):
             None if t.post is None else net.names[t.post])
 
 
-def dni_definitional(spec: Spec, limit: int = 10 ** 6) -> Verdict:
+def dni_definitional(spec: Spec, limit: int = 10 ** 6,
+                     analysis: _Analysis = None) -> Verdict:
     """Enumerate every reachable marking and try every high step from it.
 
     Exact but exponential: the marking count explodes with parallel
-    width.  Raises StateLimitError beyond the configured cap.
+    width.  Raises StateLimitError beyond the configured cap, after the
+    analysis holds the net and its partition.
     """
-    net = build_net(spec)
-    part = _restricted_partition(spec, net)
+    analysis = analysis or _Analysis(spec)
+    net, part = analysis.net, analysis.partition
     markings, edges = reach_graph(net, limit=limit)
+    keys = [None] * len(markings)
+
+    def key(i):
+        if keys[i] is None:
+            keys[i] = part.marking_key(markings[i])
+        return keys[i]
+
     witnesses = []
     for source, t, target in edges:
-        if not t.label.is_high:
-            continue
-        before, after = markings[source], markings[target]
-        if not markings_equiv(part, before, after):
-            context = net.name_marking(before - Marking.of(t.pre))
+        if t.label.is_high and key(source) != key(target):
+            # the source marking by place name, less the token t consumes
+            context = Marking((net.names[p], c - (p == t.pre))
+                              for p, c in markings[source].items())
             witnesses.append(Witness(
                 _named_transition(net, t), context,
                 "the marking after this high step is observably different"))
-    return Verdict.decide("definitional", witnesses,
-                          markings=len(markings), steps=len(edges))
+    return Verdict.decide("definitional", witnesses, markings=len(markings),
+                          steps=len(edges), **analysis.report())
 
 
-def dni_structural(spec: Spec, rooted: bool = False) -> Verdict:
+def dni_structural(spec: Spec, rooted: bool = False,
+                   analysis: _Analysis = None) -> Verdict:
     """Check each high transition once, against the restricted equivalence.
 
     The net is reduced, every place can carry a token, and team
@@ -109,8 +167,9 @@ def dni_structural(spec: Spec, rooted: bool = False) -> Verdict:
     enumeration happens here; the work is polynomial in the net.
     """
     method = "rooted" if rooted else "structural"
-    net = build_net(spec)
-    part = _restricted_partition(spec, net, rooted)
+    analysis = analysis or _Analysis(spec)
+    net = analysis.net
+    part = analysis.rooted if rooted else analysis.partition
 
     witnesses = []
     for t in net.transitions:
@@ -125,7 +184,7 @@ def dni_structural(spec: Spec, rooted: bool = False) -> Verdict:
             witnesses.append(Witness(
                 _named_transition(net, t), None,
                 "input and output place differ once high actions are hidden"))
-    return Verdict.decide(method, witnesses, transitions=len(net.transitions))
+    return Verdict.decide(method, witnesses, **analysis.report())
 
 
 def dni_compositional(spec: Spec) -> Verdict:
@@ -147,11 +206,11 @@ def dni_compositional(spec: Spec) -> Verdict:
     return Verdict.decide("compositional", witnesses, components=checked)
 
 
-def rooted_dni(spec: Spec) -> Verdict:
+def rooted_dni(spec: Spec, analysis: _Analysis = None) -> Verdict:
     """The rooted strengthening: initial moves count even before any
     silent step, so a high transition must keep its place's immediate
     observable offer."""
-    return dni_structural(spec, rooted=True)
+    return dni_structural(spec, rooted=True, analysis=analysis)
 
 
 def sbndc_interleaving(spec: Spec, limit: int = 10 ** 6) -> Verdict:
@@ -178,13 +237,16 @@ def sbndc_interleaving(spec: Spec, limit: int = 10 ** 6) -> Verdict:
 
 
 # the procedures by method name; each is looked up when it runs, so a
-# wrapper installed on the module-level name sees the call
+# wrapper installed on the module-level name sees the call.  Compositional
+# builds one net per component, its own route to the verdict.
 _PROCEDURES = {
-    "definitional": lambda spec, limit: dni_definitional(spec, limit),
-    "structural": lambda spec, limit: dni_structural(spec),
-    "compositional": lambda spec, limit: dni_compositional(spec),
-    "rooted": lambda spec, limit: rooted_dni(spec),
-    "sbndc": lambda spec, limit: sbndc_interleaving(spec, limit),
+    "definitional": lambda spec, limit, analysis:
+        dni_definitional(spec, limit, analysis),
+    "structural": lambda spec, limit, analysis:
+        dni_structural(spec, analysis=analysis),
+    "compositional": lambda spec, limit, analysis: dni_compositional(spec),
+    "rooted": lambda spec, limit, analysis: rooted_dni(spec, analysis),
+    "sbndc": lambda spec, limit, analysis: sbndc_interleaving(spec, limit),
 }
 
 DNI_METHODS = ("definitional", "structural", "compositional", "rooted")
@@ -192,15 +254,20 @@ DNI_METHODS = ("definitional", "structural", "compositional", "rooted")
 
 def check_all(spec: Spec, limit: int = 10 ** 6, methods=DNI_METHODS) -> list:
     """Run the named procedures in order and return their verdicts, timed.
+    Definitional, structural and rooted share one analysis of the spec.
     A procedure that hits the cap gives an inconclusive verdict; the
     others still run.
     """
+    analysis = _Analysis(spec)
     verdicts = []
     for method in methods:
         started = time.perf_counter()
         try:
-            verdict = _PROCEDURES[method](spec, limit)
+            verdict = _PROCEDURES[method](spec, limit, analysis)
         except StateLimitError as error:
+            # the phases a capped check ran are inside its seconds; their
+            # counts reach the verdicts that read the analysis after it
+            analysis.report()
             verdict = Verdict(method, None, stats={
                 "cap": error.limit, "explored": error.explored})
         verdict.stats["seconds"] = round(time.perf_counter() - started, 6)

@@ -2,9 +2,11 @@
 examples, then the relations the procedures must keep to each other."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from cfmcheck import security
 from cfmcheck.gen import random_spec
 from cfmcheck.net import StateLimitError
 from cfmcheck.security import (
@@ -22,6 +24,14 @@ def spec_of(text):
 def all_dni(spec):
     return (dni_definitional(spec), dni_structural(spec),
             dni_compositional(spec))
+
+
+def ring_copies(k, high_body="h.C9"):
+    """k copies of a ten-constant ring whose constant C8 is high_body."""
+    bodies = [f"a.C{(i + 1) % 10}" for i in range(10)]
+    bodies[8] = high_body
+    defs = "\n".join(f"C{i} := {body}" for i, body in enumerate(bodies))
+    return spec_of(f"high h\n{defs}\nmain := {' | '.join(['C0'] * k)}")
 
 
 def flatten(term):
@@ -180,3 +190,117 @@ class TestHelpers:
         assert [v.method for v in verdicts] == [
             "definitional", "structural", "compositional", "rooted", "sbndc"]
         assert all("seconds" in v.stats for v in verdicts)
+
+
+def outcome(verdict):
+    return verdict.method, verdict.secure, verdict.witnesses
+
+
+class TestSharedAnalysis:
+    """check_all hands definitional, structural and rooted one analysis of
+    the spec; sharing it must not change any verdict or witness."""
+
+    def test_check_all_matches_standalone(self):
+        rng = random.Random(45)
+        for _ in range(500):
+            spec = random_spec(rng)
+            shared = check_all(spec)
+            alone = (dni_definitional(spec), dni_structural(spec),
+                     dni_compositional(spec), rooted_dni(spec))
+            assert ([outcome(v) for v in shared]
+                    == [outcome(v) for v in alone]), show(spec.main)
+
+    def test_capped_definitional_leaves_the_rest(self):
+        spec = ring_copies(12)
+        definitional, *rest = check_all(spec, limit=1000)
+        assert definitional.secure is None
+        assert definitional.stats["cap"] == 1000
+        alone = (dni_structural(spec), dni_compositional(spec),
+                 rooted_dni(spec))
+        assert [outcome(v) for v in rest] == [outcome(v) for v in alone]
+        assert not any(v.secure for v in rest)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = Counter()
+        for name in ("build_net", "restrict_net", "branching_bisim",
+                     "rooted_partition", "reach_graph"):
+            def counter(*args, _name=name, _fn=getattr(security, name),
+                        **kwargs):
+                counted[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(security, name, counter)
+        return counted
+
+    def test_one_build_per_analysis(self, calls):
+        # one component: the shared analysis plus compositional's own net
+        spec = spec_of("high h\nC := h.l.C + l.C\nmain := C")
+        check_all(spec)
+        assert calls == Counter(build_net=2, restrict_net=2,
+                                branching_bisim=2, rooted_partition=1,
+                                reach_graph=1)
+
+    def test_structural_and_rooted_share_everything(self, calls):
+        spec = spec_of("high h\nC := h.l.C + l.C\nmain := C | l.0")
+        check_all(spec, methods=("structural", "rooted"))
+        assert calls == Counter(build_net=1, restrict_net=1,
+                                branching_bisim=1, rooted_partition=1)
+
+    def test_structural_alone_builds_no_more(self, calls):
+        spec = spec_of("high h\nC := h.l.C + l.C\nmain := C")
+        check_all(spec, methods=("structural",))
+        assert calls == Counter(build_net=1, restrict_net=1,
+                                branching_bisim=1)
+
+    def test_capped_definitional_leaves_nothing_to_rebuild(self, calls):
+        check_all(ring_copies(12), limit=1000,
+                  methods=("definitional", "structural", "rooted"))
+        assert calls == Counter(build_net=1, restrict_net=1,
+                                branching_bisim=1, rooted_partition=1,
+                                reach_graph=1)
+
+
+class TestAnalysisStats:
+    PHASES = ("build_s", "restrict_s", "refine_s", "rooted_s")
+
+    def test_counts_on_every_reader(self):
+        # h.tau.(0 + 0), tau.(0 + 0) and 0 + 0 are one branching class
+        # without h; the rooted split sets the silent step apart
+        spec = spec_of("high h\nmain := h.tau.(0 + 0)")
+        definitional, structural, compositional, rooted = check_all(spec)
+        for verdict in (definitional, structural, rooted):
+            assert verdict.stats["places"] == 3
+            assert verdict.stats["transitions"] == 2
+            assert verdict.stats["classes"] == 2
+        assert definitional.stats["markings"] == 3
+        assert rooted.stats["rooted_classes"] == 3
+        assert "rooted_classes" not in structural.stats
+        assert set(compositional.stats) == {"components", "seconds"}
+
+    def test_each_phase_counted_once(self):
+        spec = spec_of("high h\nC := h.l.C + l.C\nmain := C")
+        verdicts = check_all(spec)
+        timed = Counter(key for v in verdicts for key in v.stats
+                        if key in self.PHASES)
+        assert timed == Counter(self.PHASES)
+        assert {key for key in verdicts[0].stats if key in self.PHASES} \
+            == {"build_s", "restrict_s", "refine_s"}
+        assert {key for key in verdicts[3].stats if key in self.PHASES} \
+            == {"rooted_s"}
+        for verdict in verdicts:
+            phases = sum(verdict.stats.get(key, 0) for key in self.PHASES)
+            assert phases <= verdict.stats["seconds"]
+
+    def test_standalone_reports_its_own_phases(self):
+        spec = spec_of("high h\nC := h.l.C + l.C\nmain := C")
+        assert set(self.PHASES) <= set(rooted_dni(spec).stats)
+        assert "rooted_s" not in dni_structural(spec).stats
+        assert "build_s" in dni_definitional(spec).stats
+
+    def test_capped_verdict_keeps_its_keys(self):
+        definitional, structural = check_all(
+            ring_copies(12), limit=1000,
+            methods=("definitional", "structural"))
+        assert set(definitional.stats) == {"cap", "explored", "seconds"}
+        assert not set(structural.stats) & set(self.PHASES)
+        assert structural.stats["classes"] > 1
