@@ -3,11 +3,13 @@
 Exit codes: 0 when the requested property holds (secure, typed,
 equivalent) or the requested artifact was produced, 1 when the property
 fails, 2 on usage, parse or resource errors, including input nested too
-deeply for the checker.  `dni` exits 1 when any verdict is insecure,
-else 2 when a capped check left its verdict inconclusive.
+deeply for the checker and a file that is not UTF-8 text.  `dni` exits
+1 when any verdict is insecure, else 2 when a capped check left its
+verdict inconclusive.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -35,7 +37,14 @@ def _positive(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call only.
+
+    Building the argparse tree costs more than checking a small spec,
+    so repeated `main` calls in one process share it; parsing leaves it
+    unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="cfmcheck",
         description="Compile CFM terms to finite-state-machine nets and "
@@ -257,7 +266,7 @@ def main(argv=None) -> int:
         return 0 if stop.code in (0, None) else 2
     try:
         return args.run(args)
-    except (SpecError, StateLimitError, OSError) as error:
+    except (SpecError, StateLimitError, OSError, UnicodeDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -173,7 +173,13 @@ def type_check(spec: Spec, term: Term = None) -> TypingJudgment:
     def untyped(t, scanned, failing, reason) -> TypingJudgment:
         return TypingJudgment(t, scanned, False, None, reason, failing)
 
-    return check(target, frozenset())
+    # check, judge and judge_choice refer to each other, so the memo sits
+    # in a reference cycle; emptying it frees the judgments on return
+    # instead of leaving them to the cyclic collector
+    try:
+        return check(target, frozenset())
+    finally:
+        memo.clear()
 
 
 def derivation_lines(d: Derivation, depth: int = 0) -> list:

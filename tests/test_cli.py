@@ -1,15 +1,26 @@
 """Command line behaviour: exit codes, output formats, error handling."""
 
 import json
+import re
 import shutil
 import subprocess
 
 import pytest
 
-from cfmcheck.cli import main
+from cfmcheck.cli import build_parser, main
 
 SECURE = "high h\nC := h.l.C + l.C\nmain := C\n"
 INSECURE = "high h\nC := h.B\nB := l.B\nmain := C | B\n"
+
+
+def copies_path(tmp_path, high_body):
+    # twelve copies of a ten-constant ring: far more than 1000 markings
+    bodies = [f"a.C{(i + 1) % 10}" for i in range(10)]
+    bodies[8] = high_body
+    defs = "\n".join(f"C{i} := {body}" for i, body in enumerate(bodies))
+    path = tmp_path / "copies.cfm"
+    path.write_text(f"high h\n{defs}\nmain := {' | '.join(['C0'] * 12)}\n")
+    return str(path)
 
 
 @pytest.fixture
@@ -153,17 +164,8 @@ class TestDniCommand:
         assert verdict["method"] == "structural"
         assert "seconds" in verdict["stats"]
 
-    def copies_path(self, tmp_path, high_body):
-        # twelve copies of a ten-constant ring: far more than 1000 markings
-        bodies = [f"a.C{(i + 1) % 10}" for i in range(10)]
-        bodies[8] = high_body
-        defs = "\n".join(f"C{i} := {body}" for i, body in enumerate(bodies))
-        path = tmp_path / "copies.cfm"
-        path.write_text(f"high h\n{defs}\nmain := {' | '.join(['C0'] * 12)}\n")
-        return str(path)
-
     def test_cap_keeps_insecure_verdicts(self, tmp_path, capsys):
-        path = self.copies_path(tmp_path, "h.C9")
+        path = copies_path(tmp_path, "h.C9")
         assert main(["dni", "--max-states", "1000", path]) == 1
         out = capsys.readouterr().out
         assert "definitional: inconclusive  (cap=1000, " in out
@@ -178,7 +180,7 @@ class TestDniCommand:
         assert f"explored={stats['explored']}, " in out
 
     def test_cap_keeps_single_method_verdict(self, tmp_path, capsys):
-        path = self.copies_path(tmp_path, "h.C9")
+        path = copies_path(tmp_path, "h.C9")
         assert main(["dni", "--method", "struct", "--sbndc",
                      "--max-states", "1000", path]) == 1
         out = capsys.readouterr().out
@@ -186,7 +188,7 @@ class TestDniCommand:
         assert "sbndc: inconclusive" in out
 
     def test_cap_on_secure_spec(self, tmp_path, capsys):
-        path = self.copies_path(tmp_path, "h.C9 + a.C9")
+        path = copies_path(tmp_path, "h.C9 + a.C9")
         assert main(["dni", "--max-states", "1000", path]) == 2
         captured = capsys.readouterr()
         assert "definitional: inconclusive" in captured.out
@@ -269,6 +271,43 @@ class TestErrors:
     def test_help(self, capsys):
         assert main(["--help"]) == 0
         assert "cfmcheck" in capsys.readouterr().out
+
+    def test_non_utf8_spec(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfm"
+        path.write_bytes(b"main := a.\xff0\n")
+        for command in ("dni", "type"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestRepeatedCalls:
+    def test_parser_reuse_leaks_nothing(self, tmp_path, secure_path,
+                                        insecure_path, capsys):
+        calls = [
+            (["dni", "--method", "struct", "--sbndc", "--max-states", "1000",
+              copies_path(tmp_path, "h.C9")], 1),
+            (["dni", "--format", "json", insecure_path], 1),
+            (["type", "--max-states", "5", secure_path], 2),
+            (["--help"], 0),
+            (["type", secure_path], 0),
+        ]
+
+        def run(argv):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            # timings are the only part of the output that may vary
+            out = re.sub(r"((?:seconds|_s)\W+)[\d.e+-]+", r"\1", out)
+            return code, out, err
+
+        first = []
+        for argv, code in calls:
+            build_parser.cache_clear()
+            first.append(run(argv))
+            assert first[-1][0] == code
+        build_parser.cache_clear()
+        assert [run(argv) for argv, _ in calls] == first
+        assert build_parser.cache_info().misses == 1
 
 
 class TestConsoleScript:

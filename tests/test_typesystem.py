@@ -1,5 +1,6 @@
 """The syntactic security proof system and its equational side checks."""
 
+import gc
 import random
 
 import pytest
@@ -9,8 +10,8 @@ from cfmcheck.gen import AXIOM_NAMES, axiom_instance, random_spec
 from cfmcheck.security import rooted_dni
 from cfmcheck.syntax import NIL, parse_spec, parse_term, restrict_syntactic, show
 from cfmcheck.typesystem import (
-    decide_equational, derivation_lines, is_deadlock_place, judgment_lines,
-    type_check,
+    Derivation, TypingJudgment, decide_equational, derivation_lines,
+    is_deadlock_place, judgment_lines, type_check,
 )
 
 
@@ -168,3 +169,29 @@ class TestCharacterization:
             spec = random_spec(rng)
             assert type_check(spec).typed == rooted_dni(spec).secure, \
                 show(spec.main)
+
+
+class TestMemory:
+    def test_no_judgments_left_to_the_cyclic_collector(self):
+        # a secure branching ring: C6 := h.X + X, X its low body
+        n = 12
+        bodies = [f"a.C{(i + 1) % n} + b.C{(7 * i + 3) % n}" for i in range(n)]
+        bodies[n // 2] = f"h.({bodies[n // 2]}) + {bodies[n // 2]}"
+        spec = spec_of("high h\n" + "".join(
+            f"C{i} := {body}\n" for i, body in enumerate(bodies))
+            + "main := C0\n")
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert type_check(spec).typed
+            gc.collect()
+            left = [obj for obj in gc.garbage
+                    if isinstance(obj, (TypingJudgment, Derivation))]
+            assert not left
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
