@@ -37,14 +37,7 @@ def _positive(text: str) -> int:
     return value
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line's parser, built on the first call only.
-
-    Building the argparse tree costs more than checking a small spec,
-    so repeated `main` calls in one process share it; parsing leaves it
-    unchanged.
-    """
     parser = argparse.ArgumentParser(
         prog="cfmcheck",
         description="Compile CFM terms to finite-state-machine nets and "
@@ -87,9 +80,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the argparse tree costs more than checking a small spec, so
+# repeated `main` calls in one process share one; parsing leaves it
+# unchanged.  `build_parser` itself still returns a fresh parser.
+_parser = functools.cache(build_parser)
+
+
 def _load(args):
     with open(args.path, encoding="utf-8") as handle:
-        return parse_spec(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as error:
+            raise SpecError(f"{args.path}: not UTF-8 text ({error.reason} "
+                            f"at byte {error.start})") from None
+    return parse_spec(text)
 
 
 def _marking_json(m):
@@ -261,12 +265,12 @@ def run_type(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as stop:
         return 0 if stop.code in (0, None) else 2
     try:
         return args.run(args)
-    except (SpecError, StateLimitError, OSError, UnicodeDecodeError) as error:
+    except (SpecError, StateLimitError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except RecursionError:

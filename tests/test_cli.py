@@ -7,7 +7,7 @@ import subprocess
 
 import pytest
 
-from cfmcheck.cli import build_parser, main
+from cfmcheck.cli import _parser, build_parser, main
 
 SECURE = "high h\nC := h.l.C + l.C\nmain := C\n"
 INSECURE = "high h\nC := h.B\nB := l.B\nmain := C | B\n"
@@ -278,7 +278,8 @@ class TestErrors:
         for command in ("dni", "type"):
             assert main([command, str(path)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error:") and err.count("\n") == 1
+            assert err == (f"error: {path}: not UTF-8 text "
+                           "(invalid start byte at byte 10)\n")
 
 
 class TestRepeatedCalls:
@@ -302,12 +303,18 @@ class TestRepeatedCalls:
 
         first = []
         for argv, code in calls:
-            build_parser.cache_clear()
+            _parser.cache_clear()
             first.append(run(argv))
             assert first[-1][0] == code
-        build_parser.cache_clear()
+        _parser.cache_clear()
         assert [run(argv) for argv, _ in calls] == first
-        assert build_parser.cache_info().misses == 1
+        assert _parser.cache_info().misses == 1
+
+    def test_changing_a_built_parser_leaves_main_alone(self, secure_path,
+                                                       capsys):
+        assert main(["type", secure_path]) == 0
+        build_parser().add_argument("--extra", required=True)
+        assert main(["type", secure_path]) == 0
 
 
 class TestConsoleScript:
