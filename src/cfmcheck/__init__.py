@@ -6,14 +6,13 @@ non-interference, and type terms for the rooted variant.
 """
 
 from .equiv import (
-    Partition, branching_bisim, is_branching_bisimulation, markings_equiv,
-    naive_branching_fixpoint, rooted_partition, strong_partition,
-    terms_equiv,
+    Partition, branching_bisim, markings_equiv, rooted_partition,
+    strong_partition, terms_equiv,
 )
 from .net import (
-    Lts, Marking, Net, NotEnabledError, StateLimitError, THETA, Transition,
-    build_lts, build_net, components, dec, fire, lts_step, net_to_dot,
-    net_to_json, reach_graph, restrict_net, silent_closure,
+    Lts, Marking, Net, StateLimitError, THETA, Transition, build_lts,
+    build_net, components, dec, lts_step, net_to_dot, net_to_json,
+    reach_graph, restrict_net,
 )
 from .security import (
     Verdict, Witness, check_all, dni_compositional, dni_definitional,
@@ -21,9 +20,8 @@ from .security import (
 )
 from .syntax import (
     NIL, TAU, Action, CategoryError, Const, Nil, Par, ParseError, Prefix,
-    Spec, SpecError, Sum, Term, category, high, is_observationally_guarded,
-    low, make_spec, normalize_sum, parse_spec, parse_term,
-    restrict_syntactic, show, sort, summands,
+    Spec, SpecError, Sum, Term, category, high, low, normalize_sum,
+    parse_spec, parse_term, restrict_syntactic, show, summands,
 )
 from .typesystem import (
     Derivation, TypingJudgment, decide_equational, is_deadlock_place,

@@ -87,13 +87,14 @@ _parser = functools.cache(build_parser)
 
 
 def _load(args):
+    # plain UTF-8, so that error.start counts from the file's first byte
     with open(args.path, encoding="utf-8") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as error:
             raise SpecError(f"{args.path}: not UTF-8 text ({error.reason} "
                             f"at byte {error.start})") from None
-    return parse_spec(text)
+    return parse_spec(text.removeprefix("\ufeff"))
 
 
 def _marking_json(m):

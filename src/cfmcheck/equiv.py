@@ -2,19 +2,19 @@
 lifting of both to markings by multiset-of-classes comparison; strong
 bisimilarity over explicit transition systems.
 
-Two engines compute the place-level equivalence: a partition refinement
-that treats silent moves inside a candidate class as invisible, and a
-deliberately literal greatest-fixpoint construction used as an oracle in
-the test suite.  They must agree exactly.  The refinement contracts
-silent cycles, signs states bottom-up along silent moves, and after a
-split signs again only the states the split touched; the same engine
-gives the strong partition, one more split round gives the rooted one,
-and the observations it signs with explain a difference.
+One engine computes the place-level equivalence: a partition refinement
+that treats silent moves inside a candidate class as invisible.  The
+test suite checks it against a deliberately literal greatest-fixpoint
+oracle of its own.  The refinement contracts silent cycles, signs
+states bottom-up along silent moves, and after a split signs again only
+the states the split touched; the same engine gives the strong
+partition, one more split round gives the rooted one, and the
+observations it signs with explain a difference.
 """
 
 from collections import defaultdict
 
-from .net import Marking, Net, silent_closure
+from .net import Marking, Net
 from .syntax import TAU, Par, Spec, Term, category
 
 
@@ -53,9 +53,6 @@ class Partition:
 
     def class_of_place(self, place: int) -> int:
         return self._class_of[place]
-
-    def class_of_post(self, post) -> int:
-        return self.theta_class if post is None else self._class_of[post]
 
     def same_class(self, a: int, b: int) -> bool:
         return self._class_of[a] == self._class_of[b]
@@ -252,98 +249,6 @@ def branching_bisim(net: Net) -> Partition:
     """
     return Partition(net, _refine(_moves(net), [0] * len(net.names) + [1],
                                   inert=TAU in net.labels))
-
-
-# ---------------------------------------------------------------------------
-# the oracles, independent of the refinement engine
-
-def _closures(net: Net) -> list:
-    """Per place, the places it reaches through silent moves."""
-    return [tuple(p for p in silent_closure(net, place) if p is not None)
-            for place in range(len(net.names))]
-
-
-def _transfers(net: Net, closures, related, a: int, b: int) -> bool:
-    """Does b answer every move of a, as branching bisimulation demands?
-
-    A silent move may be dropped against a silently reached relative of
-    both endpoints, and any move may be matched after silent preparation,
-    with targets related or both empty.  related(x, y) is the candidate
-    relation.  Kept apart from the refinement engine, so that the
-    oracles built on it check that engine independently.
-    """
-    for t in net.out(a):
-        m1 = t.post
-        if t.label.is_tau and m1 is not None and any(
-                related(a, u) and related(m1, u) for u in closures[b]):
-            continue
-        if not any(t2.label == t.label
-                   and (t2.post is None if m1 is None
-                        else t2.post is not None and related(m1, t2.post))
-                   for u in closures[b] if related(a, u)
-                   for t2 in net.out(u)):
-            return False
-    return True
-
-
-def naive_branching_fixpoint(net: Net, max_places: int = 200) -> Partition:
-    """Oracle engine: shrink the all-pairs relation until it transfers.
-
-    A pair of places survives while each side answers every move of the
-    other (see _transfers).  Quadratic in places and meant for tests
-    only.
-    """
-    n = len(net.names)
-    if n > max_places:
-        raise ValueError(f"oracle is capped at {max_places} places, net has {n}")
-
-    closures = _closures(net)
-    related = [set(range(n)) for _ in range(n)]
-
-    def relates(x, y):
-        return y in related[x]
-
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in sorted(related[a]):
-                if b <= a:
-                    continue
-                if not (_transfers(net, closures, relates, a, b)
-                        and _transfers(net, closures, relates, b, a)):
-                    related[a].discard(b)
-                    related[b].discard(a)
-                    changed = True
-
-    # the fixpoint is an equivalence; grouping identical rows recovers it
-    class_of = [0] * (n + 1)
-    rows = {}
-    for place in range(n):
-        row = frozenset(related[place])
-        assert all(frozenset(related[b]) == row for b in row), \
-            "fixpoint relation is not transitive"
-        class_of[place] = rows.setdefault(row, len(rows))
-    class_of[n] = len(rows)
-    return Partition(net, class_of)
-
-
-def is_branching_bisimulation(net: Net, part: Partition) -> bool:
-    """Check the transfer property for every pair the partition relates."""
-    n = len(net.names)
-    closures = _closures(net)
-    for members in part.classes:
-        places = sorted(e for e in members if e < n)
-        if len(members) != len(places):  # the empty-marking class
-            if places:
-                return False
-            continue
-        for i, a in enumerate(places):
-            for b in places[i + 1:]:
-                if not (_transfers(net, closures, part.same_class, a, b)
-                        and _transfers(net, closures, part.same_class, b, a)):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

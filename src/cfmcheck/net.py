@@ -12,10 +12,6 @@ from typing import NamedTuple
 from .syntax import NIL, Action, Const, Nil, Par, Prefix, Spec, Sum, Term, show
 
 
-class NotEnabledError(ValueError):
-    """Firing was attempted for a transition without its input token."""
-
-
 class StateLimitError(RuntimeError):
     """An exhaustive exploration hit its configured marking cap.
 
@@ -96,16 +92,6 @@ class Marking:
         # truncated difference: counts never drop below zero
         return Marking((p, c - other.count(p)) for p, c in self._key
                        if c > other.count(p))
-
-    def scaled(self, factor):
-        if factor < 0:
-            raise ValueError("multiplicities are nonnegative")
-        return Marking((p, c * factor) for p, c in self._key)
-
-    __rmul__ = scaled
-
-    def __le__(self, other):
-        return all(c <= other.count(p) for p, c in self._key)
 
     def __eq__(self, other):
         return isinstance(other, Marking) and self._key == other._key
@@ -229,13 +215,6 @@ class Net:
                 f"{self.initial.size} tokens)")
 
 
-def fire(net: Net, m: Marking, t: Transition) -> Marking:
-    """Fire t at m: consume the input token, produce the output token."""
-    if m.count(t.pre) < 1:
-        raise NotEnabledError(f"{net.names[t.pre]} holds no token")
-    return (m - Marking.of(t.pre)) + (THETA if t.post is None else Marking.of(t.post))
-
-
 def _explore(roots, moves, limit=None) -> tuple:
     """Breadth-first search that interns states by key in discovery order.
 
@@ -275,8 +254,8 @@ def reach_graph(net: Net, limit: int = 10 ** 6) -> tuple:
     from the initial marking and edges hold (source index, transition,
     target index).  The search runs on marking keys: firing t at a key
     drops one token of t.pre and splices one token of t.post back in by
-    bisection, which is fire() without its intermediate markings.  Each
-    reached key becomes one Marking at the end.
+    bisection: the tests' definition of firing without its intermediate
+    markings.  Each reached key becomes one Marking at the end.
     """
     outs = [net.out(place) for place in range(len(net.names))]
 
@@ -301,24 +280,6 @@ def reach_graph(net: Net, limit: int = 10 ** 6) -> tuple:
     start = net.initial.items()
     keys, _, edges = _explore([(start, start)], firings, limit)
     return [Marking._of_key(key) for key in keys], edges
-
-
-def silent_closure(net: Net, place: int) -> frozenset:
-    """Everything reachable from place through tau transitions.
-
-    The result contains places and possibly None, the empty marking,
-    and always contains the starting place itself.
-    """
-    seen = {place}
-    frontier = [place]
-    while frontier:
-        p = frontier.pop()
-        for t in net.out(p):
-            if t.label.is_tau and t.post not in seen:
-                seen.add(t.post)
-                if t.post is not None:
-                    frontier.append(t.post)
-    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -223,12 +223,8 @@ def sbndc_interleaving(spec: Spec, limit: int = 10 ** 6) -> Verdict:
     class_of = strong_partition(len(lts.states), low_edges)
 
     witnesses = []
-    seen = set()
     for source, action, target in lts.edges:
-        if not action.is_high or (source, action, target) in seen:
-            continue
-        seen.add((source, action, target))
-        if class_of[source] != class_of[target]:
+        if action.is_high and class_of[source] != class_of[target]:
             witnesses.append(Witness(
                 (lts.names[source], str(action), lts.names[target]), None,
                 "the states before and after this high step are "

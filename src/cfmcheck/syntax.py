@@ -231,13 +231,6 @@ class Spec:
         return replace(self, main=term)
 
 
-def make_spec(high_names=(), defs=None, main=NIL) -> Spec:
-    """Assemble and validate a Spec from already-built terms."""
-    spec = Spec(frozenset(high_names), dict(defs or {}), main, {})
-    validate_spec(spec)
-    return spec
-
-
 def validate_spec(spec: Spec) -> None:
     """Check category discipline and definedness for every term in spec."""
     for name, body in spec.defs.items():
@@ -262,56 +255,6 @@ def const_names(t: Term) -> set:
             return const_names(body)
         case Sum(left, right) | Par(left, right):
             return const_names(left) | const_names(right)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def reachable_consts(t: Term, spec: Spec) -> set:
-    """Constants reachable from t through definition bodies, transitively."""
-    seen = set()
-    frontier = const_names(t)
-    while frontier:
-        name = frontier.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        frontier |= const_names(spec.body_of(name))
-    return seen
-
-
-def sort(t: Term, spec: Spec) -> frozenset:
-    """All actions occurring in t or in the bodies of its reachable constants."""
-    acts = set()
-
-    def walk(u):
-        match u:
-            case Nil() | Const(_):
-                pass
-            case Prefix(action, body):
-                acts.add(action)
-                walk(body)
-            case Sum(left, right) | Par(left, right):
-                walk(left)
-                walk(right)
-
-    walk(t)
-    for name in reachable_consts(t, spec):
-        walk(spec.body_of(name))
-    return frozenset(acts)
-
-
-def rename_consts(t: Term, mapping: dict) -> Term:
-    """Substitute constants by name; mapping values are replacement terms."""
-    match t:
-        case Nil():
-            return t
-        case Const(name):
-            return mapping.get(name, t)
-        case Prefix(action, body):
-            return Prefix(action, rename_consts(body, mapping))
-        case Sum(left, right):
-            return Sum(rename_consts(left, mapping), rename_consts(right, mapping))
-        case Par(left, right):
-            return Par(rename_consts(left, mapping), rename_consts(right, mapping))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -361,31 +304,6 @@ def restrict_syntactic(t: Term, spec: Spec) -> tuple:
     restricted = walk(t)
     extended = Spec(spec.high_names, defs, spec.main, memo)
     return restricted, extended
-
-
-def is_observationally_guarded(name: str, spec: Spec) -> bool:
-    """True unless the constant can silently reach itself again.
-
-    The witnessing cycle is a nonempty sequence of tau transitions from
-    the constant back to the constant itself as a syntactic term.
-    """
-    from .net import lts_step
-
-    start = Const(name)
-    seen = set()
-    frontier = [start]
-    while frontier:
-        term = frontier.pop()
-        for action, successor in lts_step(term, spec):
-            if not action.is_tau:
-                continue
-            if successor == start:
-                return False
-            key = show(successor)
-            if key not in seen:
-                seen.add(key)
-                frontier.append(successor)
-    return True
 
 
 # ---------------------------------------------------------------------------

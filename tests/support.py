@@ -1,15 +1,224 @@
-"""Randomized nets, terms, specifications and axiom instances.
+"""The definition of firing, literal branching-bisimulation oracles, and
+randomized nets, terms, specifications and axiom instances for the tests.
 
-Everything here draws from a caller-supplied random.Random, so runs are
-reproducible from a seed.  The axiom instantiators enforce each law's
-side conditions by construction or by bounded resampling.
+The oracles use only public engine names, so they check the refinement
+engine independently.  Generators draw from a caller-supplied
+random.Random, reproducible from a seed; axiom instances meet each
+law's side conditions by construction or by bounded resampling.
 """
 
-from .net import Marking, Net
-from .syntax import (
-    NIL, TAU, Const, Par, Prefix, Spec, Sum, Term, const_names, high,
-    is_observationally_guarded, low, make_spec, rename_consts,
+from cfmcheck.equiv import Partition
+from cfmcheck.net import THETA, Marking, Net, Transition, lts_step
+from cfmcheck.syntax import (
+    NIL, TAU, Const, Nil, Par, Prefix, Spec, Sum, Term, const_names, high,
+    low, show, validate_spec,
 )
+
+
+# ---------------------------------------------------------------------------
+# syntactic helpers
+
+def make_spec(high_names=(), defs=None, main=NIL) -> Spec:
+    """Assemble and validate a Spec from already-built terms."""
+    spec = Spec(frozenset(high_names), dict(defs or {}), main, {})
+    validate_spec(spec)
+    return spec
+
+
+def reachable_consts(t: Term, spec: Spec) -> set:
+    """Constants reachable from t through definition bodies, transitively."""
+    seen = set()
+    frontier = const_names(t)
+    while frontier:
+        name = frontier.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        frontier |= const_names(spec.body_of(name))
+    return seen
+
+
+def sort(t: Term, spec: Spec) -> frozenset:
+    """All actions occurring in t or in the bodies of its reachable constants."""
+    acts = set()
+
+    def walk(u):
+        match u:
+            case Nil() | Const(_):
+                pass
+            case Prefix(action, body):
+                acts.add(action)
+                walk(body)
+            case Sum(left, right) | Par(left, right):
+                walk(left)
+                walk(right)
+
+    walk(t)
+    for name in reachable_consts(t, spec):
+        walk(spec.body_of(name))
+    return frozenset(acts)
+
+
+def rename_consts(t: Term, mapping: dict) -> Term:
+    """Substitute constants by name; mapping values are replacement terms."""
+    match t:
+        case Nil():
+            return t
+        case Const(name):
+            return mapping.get(name, t)
+        case Prefix(action, body):
+            return Prefix(action, rename_consts(body, mapping))
+        case Sum(left, right):
+            return Sum(rename_consts(left, mapping), rename_consts(right, mapping))
+        case Par(left, right):
+            return Par(rename_consts(left, mapping), rename_consts(right, mapping))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def is_observationally_guarded(name: str, spec: Spec) -> bool:
+    """True unless the constant can silently reach itself again.
+
+    The witnessing cycle is a nonempty sequence of tau transitions from
+    the constant back to the constant itself as a syntactic term.
+    """
+    start = Const(name)
+    seen = set()
+    frontier = [start]
+    while frontier:
+        term = frontier.pop()
+        for action, successor in lts_step(term, spec):
+            if not action.is_tau:
+                continue
+            if successor == start:
+                return False
+            key = show(successor)
+            if key not in seen:
+                seen.add(key)
+                frontier.append(successor)
+    return True
+
+
+# ---------------------------------------------------------------------------
+# firing and the oracles, independent of the refinement engine
+
+class NotEnabledError(ValueError):
+    """Firing was attempted for a transition without its input token."""
+
+
+def fire(net: Net, m: Marking, t: Transition) -> Marking:
+    """Fire t at m: consume the input token, produce the output token."""
+    if m.count(t.pre) < 1:
+        raise NotEnabledError(f"{net.names[t.pre]} holds no token")
+    return (m - Marking.of(t.pre)) + (THETA if t.post is None else Marking.of(t.post))
+
+
+def silent_closure(net: Net, place: int) -> frozenset:
+    """Everything reachable from place through tau transitions.
+
+    The result contains places and possibly None, the empty marking,
+    and always contains the starting place itself.
+    """
+    seen = {place}
+    frontier = [place]
+    while frontier:
+        p = frontier.pop()
+        for t in net.out(p):
+            if t.label.is_tau and t.post not in seen:
+                seen.add(t.post)
+                if t.post is not None:
+                    frontier.append(t.post)
+    return frozenset(seen)
+
+
+def _closures(net: Net) -> list:
+    """Per place, the places it reaches through silent moves."""
+    return [tuple(p for p in silent_closure(net, place) if p is not None)
+            for place in range(len(net.names))]
+
+
+def _transfers(net: Net, closures, related, a: int, b: int) -> bool:
+    """Does b answer every move of a, as branching bisimulation demands?
+
+    A silent move may be dropped against a silently reached relative of
+    both endpoints, and any move may be matched after silent preparation,
+    with targets related or both empty.  related(x, y) is the candidate
+    relation.
+    """
+    for t in net.out(a):
+        m1 = t.post
+        if t.label.is_tau and m1 is not None and any(
+                related(a, u) and related(m1, u) for u in closures[b]):
+            continue
+        if not any(t2.label == t.label
+                   and (t2.post is None if m1 is None
+                        else t2.post is not None and related(m1, t2.post))
+                   for u in closures[b] if related(a, u)
+                   for t2 in net.out(u)):
+            return False
+    return True
+
+
+def naive_branching_fixpoint(net: Net, max_places: int = 200) -> Partition:
+    """Oracle engine: shrink the all-pairs relation until it transfers.
+
+    A pair of places survives while each side answers every move of the
+    other (see _transfers).  Quadratic in places.
+    """
+    n = len(net.names)
+    if n > max_places:
+        raise ValueError(f"oracle is capped at {max_places} places, net has {n}")
+
+    closures = _closures(net)
+    related = [set(range(n)) for _ in range(n)]
+
+    def relates(x, y):
+        return y in related[x]
+
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            for b in sorted(related[a]):
+                if b <= a:
+                    continue
+                if not (_transfers(net, closures, relates, a, b)
+                        and _transfers(net, closures, relates, b, a)):
+                    related[a].discard(b)
+                    related[b].discard(a)
+                    changed = True
+
+    # the fixpoint is an equivalence; grouping identical rows recovers it
+    class_of = [0] * (n + 1)
+    rows = {}
+    for place in range(n):
+        row = frozenset(related[place])
+        assert all(frozenset(related[b]) == row for b in row), \
+            "fixpoint relation is not transitive"
+        class_of[place] = rows.setdefault(row, len(rows))
+    class_of[n] = len(rows)
+    return Partition(net, class_of)
+
+
+def is_branching_bisimulation(net: Net, part: Partition) -> bool:
+    """Check the transfer property for every pair the partition relates."""
+    n = len(net.names)
+    closures = _closures(net)
+    for members in part.classes:
+        places = sorted(e for e in members if e < n)
+        if len(members) != len(places):  # the empty-marking class
+            if places:
+                return False
+            continue
+        for i, a in enumerate(places):
+            for b in places[i + 1:]:
+                if not (_transfers(net, closures, part.same_class, a, b)
+                        and _transfers(net, closures, part.same_class, b, a)):
+                    return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# random nets, terms and specifications
 
 LOW_NAMES = ("a", "b", "c")
 HIGH_NAMES = ("h", "k")
@@ -40,9 +249,6 @@ def random_marking(rng, net: Net, max_tokens: int = 6) -> Marking:
     count = rng.randint(0, max_tokens)
     return Marking((rng.randrange(len(net.names)), 1) for _ in range(count))
 
-
-# ---------------------------------------------------------------------------
-# terms and specifications
 
 def _action(rng, p_tau, p_high):
     roll = rng.random()

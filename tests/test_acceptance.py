@@ -12,15 +12,10 @@ import time
 import pytest
 
 from cfmcheck.equiv import (
-    branching_bisim, markings_equiv, naive_branching_fixpoint,
-    rooted_partition, strong_partition,
-)
-from cfmcheck.gen import (
-    AXIOM_NAMES, axiom_instance, random_marking, random_net, random_spec,
+    branching_bisim, markings_equiv, rooted_partition, strong_partition,
 )
 from cfmcheck.net import (
-    Marking, Net, StateLimitError, build_lts, build_net, dec, fire,
-    reach_graph,
+    Marking, Net, StateLimitError, build_lts, build_net, dec, reach_graph,
 )
 from cfmcheck.security import (
     dni_compositional, dni_definitional, dni_structural, rooted_dni,
@@ -28,6 +23,10 @@ from cfmcheck.security import (
 )
 from cfmcheck.syntax import TAU, low, parse_spec
 from cfmcheck.typesystem import decide_equational, type_check
+from support import (
+    AXIOM_NAMES, axiom_instance, naive_branching_fixpoint, random_marking,
+    random_net, random_spec,
+)
 
 
 def net_of(names, triples, initial):

@@ -274,12 +274,25 @@ class TestErrors:
 
     def test_non_utf8_spec(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfm"
-        path.write_bytes(b"main := a.\xff0\n")
+        for prefix, offset in ((b"", 10), (b"\xef\xbb\xbf", 13)):
+            path.write_bytes(prefix + b"main := a.\xff0\n")
+            for command in ("dni", "type"):
+                assert main([command, str(path)]) == 2
+                err = capsys.readouterr().err
+                assert err == (f"error: {path}: not UTF-8 text "
+                               f"(invalid start byte at byte {offset})\n")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "spec.cfm"
         for command in ("dni", "type"):
-            assert main([command, str(path)]) == 2
-            err = capsys.readouterr().err
-            assert err == (f"error: {path}: not UTF-8 text "
-                           "(invalid start byte at byte 10)\n")
+            seen = []
+            for prefix in (b"", b"\xef\xbb\xbf"):
+                path.write_bytes(prefix + INSECURE.encode())
+                code = main([command, str(path)])
+                out, err = capsys.readouterr()
+                out = re.sub(r"((?:seconds|_s)\W+)[\d.e+-]+", r"\1", out)
+                seen.append((code, out, err))
+            assert seen[0] == seen[1]
 
 
 class TestRepeatedCalls:

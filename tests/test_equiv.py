@@ -10,12 +10,14 @@ import pytest
 
 from cfmcheck.equiv import (
     Partition, _moves, _split, branching_bisim, explain_difference,
-    is_branching_bisimulation, markings_equiv, naive_branching_fixpoint,
-    rooted_partition, strong_partition, terms_equiv,
+    markings_equiv, rooted_partition, strong_partition, terms_equiv,
 )
-from cfmcheck.gen import random_marking, random_net, random_spec
-from cfmcheck.net import Marking, Net, build_net, dec, fire, restrict_net
-from cfmcheck.syntax import TAU, low, make_spec, parse_spec, parse_term
+from cfmcheck.net import Marking, Net, build_net, restrict_net
+from cfmcheck.syntax import TAU, low, parse_spec, parse_term
+from support import (
+    fire, is_branching_bisimulation, naive_branching_fixpoint,
+    random_marking, random_net,
+)
 
 
 def net_of(names, triples, initial):
@@ -286,6 +288,7 @@ def run_chain(net, m, chain):
 def transfer_matched(net, part, m1, t1, m2):
     """One direction of the team transfer property for markings."""
     key = part.marking_key
+    theta = len(net.names)  # the empty marking's element of part
     m1_after = fire(net, m1, t1)
     for s2, _ in m2.items():
         if not part.same_class(t1.pre, s2):
@@ -315,7 +318,8 @@ def transfer_matched(net, part, m1, t1, m2):
             for t2 in net.out(u):
                 if t2.label != t1.label:
                     continue
-                if part.class_of_post(t1.post) != part.class_of_post(t2.post):
+                if not part.same_class(theta if t1.post is None else t1.post,
+                                       theta if t2.post is None else t2.post):
                     continue
                 if key(m1_after) == key(fire(net, m2_mid, t2)):
                     return True

@@ -7,14 +7,14 @@ from collections import Counter
 import pytest
 
 from cfmcheck import security
-from cfmcheck.gen import random_spec
 from cfmcheck.net import StateLimitError
 from cfmcheck.security import (
     Verdict, Witness, check_all, components, dni_compositional,
     dni_definitional, dni_structural, rooted_dni,
     sbndc_interleaving,
 )
-from cfmcheck.syntax import NIL, Par, parse_spec, show, sort
+from cfmcheck.syntax import Par, parse_spec, show
+from support import random_spec, sort
 
 
 def spec_of(text):

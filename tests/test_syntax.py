@@ -7,12 +7,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfmcheck.gen import random_guarded, random_spec
 from cfmcheck.syntax import (
-    NIL, TAU, Action, CategoryError, Const, Nil, Par, ParseError, Prefix, SpecError,
-    Sum, category, const_names, high, is_observationally_guarded,
-    low, make_spec, normalize_sum, parse_spec, parse_term, rename_consts,
-    restrict_syntactic, show, sort, summands,
+    NIL, TAU, Action, CategoryError, Const, Par, ParseError, Prefix, SpecError,
+    Sum, category, const_names, high, low, normalize_sum, parse_spec,
+    parse_term, restrict_syntactic, show, summands,
+)
+from support import (
+    is_observationally_guarded, make_spec, random_guarded, random_spec,
+    rename_consts, sort,
 )
 
 

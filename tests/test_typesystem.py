@@ -6,13 +6,13 @@ import random
 import pytest
 
 from cfmcheck.equiv import terms_equiv
-from cfmcheck.gen import AXIOM_NAMES, axiom_instance, random_spec
 from cfmcheck.security import rooted_dni
 from cfmcheck.syntax import NIL, parse_spec, parse_term, restrict_syntactic, show
 from cfmcheck.typesystem import (
     Derivation, TypingJudgment, decide_equational, derivation_lines,
     is_deadlock_place, judgment_lines, type_check,
 )
+from support import AXIOM_NAMES, axiom_instance, random_spec
 
 
 def spec_of(text):
