@@ -15,8 +15,8 @@ import sys
 
 from . import equiv, security, typesystem
 from .net import (
-    StateLimitError, build_lts, build_net, dec, lts_to_dot, net_to_dot,
-    net_to_json, reach_graph,
+    Marking, StateLimitError, build_lts, build_net, dec, lts_to_dot,
+    net_to_dot, net_to_json, reach_graph,
 )
 from .syntax import Par, SpecError, parse_spec, parse_term, show
 
@@ -147,8 +147,9 @@ def run_lts(args) -> int:
 def run_reach(args) -> int:
     spec = _load(args)
     net = build_net(spec)
-    markings = [net.name_marking(m)
-                for m in reach_graph(net, args.max_states)[0]]
+    # the markings alone: keep no edge, name each flat key's places once
+    markings = [Marking.of(*(net.names[p] for p in key)) for key in
+                reach_graph(net, args.max_states, keep=lambda t: False)[0]]
     if args.fmt == "json":
         print(json.dumps({"markings": [_marking_json(m) for m in markings]},
                          indent=2))

@@ -57,6 +57,11 @@ class Partition:
     def same_class(self, a: int, b: int) -> bool:
         return self._class_of[a] == self._class_of[b]
 
+    def places_key(self, places) -> list:
+        """Multiset of classes of places listed with repetition, such as
+        a flat marking key, as a sorted list."""
+        return sorted(map(self._class_of.__getitem__, places))
+
     def marking_key(self, m: Marking) -> tuple:
         """Multiset of classes of m, as a sorted tuple with repetition."""
         key = []

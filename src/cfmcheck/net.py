@@ -33,8 +33,10 @@ class Marking:
     Places may be names or interned indexes; a marking never mixes the
     two.  The empty marking doubles as the target of transitions whose
     token disappears.  A marking is identified by its key, the tuple of
-    its (place, count) pairs sorted by place with every count positive;
-    _of_key wraps a key that is already in that form.
+    its (place, count) pairs sorted by place with every count positive.
+    Marking exploration does not build markings: it runs on flat keys,
+    the sorted tuples of place indexes with one entry per token, such
+    as (0, 0, 3, 5), and Marking.of(*key) turns one into a marking.
     """
 
     __slots__ = ("_counts", "_key")
@@ -53,13 +55,6 @@ class Marking:
     @classmethod
     def of(cls, *places):
         return cls((p, 1) for p in places)
-
-    @classmethod
-    def _of_key(cls, key):
-        m = object.__new__(cls)
-        m._counts = dict(key)
-        m._key = key
-        return m
 
     @property
     def size(self):
@@ -215,71 +210,82 @@ class Net:
                 f"{self.initial.size} tokens)")
 
 
-def _explore(roots, moves, limit=None) -> tuple:
+def _explore(roots, moves, limit=None, keep=None) -> tuple:
     """Breadth-first search that interns states by key in discovery order.
 
     roots holds (key, state) pairs and moves(state) gives (label, key,
-    successor) triples.  Returns (keys, states, edges) with edges as
-    (source, label, target) index triples.  Interning a state beyond
-    limit states, roots included, raises StateLimitError, which records
-    how many states were fully expanded.
+    successor) triples.  Returns (keys, states, edges, steps): edges are
+    (source, label, target) index triples, by default all of them, and
+    with keep only those whose label keep(label) accepts; steps counts
+    every edge, kept or not.  Interning a state beyond limit states,
+    roots included, raises StateLimitError, which records how many
+    states were fully expanded.
     """
     keys, states, edges = [], [], []
     index = {}
-    cursor = 0
-
-    def intern(key, state):
-        i = index.get(key)
-        if i is None:
-            if limit is not None and len(keys) >= limit:
-                raise StateLimitError(limit, cursor)
-            i = index[key] = len(keys)
+    cap = float("inf") if limit is None else limit
+    for key, state in roots:
+        if key not in index:
+            if len(keys) >= cap:
+                raise StateLimitError(limit, 0)
+            index[key] = len(keys)
             keys.append(key)
             states.append(state)
-        return i
-
-    for key, state in roots:
-        intern(key, state)
+    steps = cursor = 0
     while cursor < len(states):
         for label, key, successor in moves(states[cursor]):
-            edges.append((cursor, label, intern(key, successor)))
+            target = index.get(key)
+            if target is None:
+                if len(keys) >= cap:
+                    raise StateLimitError(limit, cursor)
+                target = index[key] = len(keys)
+                keys.append(key)
+                states.append(successor)
+            if keep is None or keep(label):
+                edges.append((cursor, label, target))
+            steps += 1
         cursor += 1
-    return keys, states, edges
+    return keys, states, edges, steps
 
 
-def reach_graph(net: Net, limit: int = 10 ** 6) -> tuple:
+def reach_graph(net: Net, limit: int = 10 ** 6, keep=None) -> tuple:
     """Reachable markings plus the firing edges between them.
 
     Returns (markings, edges) where markings are in breadth-first order
     from the initial marking and edges hold (source index, transition,
-    target index).  The search runs on marking keys: firing t at a key
-    drops one token of t.pre and splices one token of t.post back in by
-    bisection: the tests' definition of firing without its intermediate
+    target index).  The search runs on flat marking keys (see Marking):
+    firing t at a key drops one entry t.pre and bisects one entry t.post
+    back in, the tests' definition of firing without its intermediate
     markings.  Each reached key becomes one Marking at the end.
+
+    With keep, a predicate on transitions, it returns (keys, edges,
+    steps) instead: the flat key of each reached marking in the same
+    order, only the edges whose transition keep accepts, and the number
+    of all edges.  No Marking is built then, and no other edge is kept.
     """
     outs = [net.out(place) for place in range(len(net.names))]
 
     def firings(key):
-        for k, (place, count) in enumerate(key):
-            if count > 1:
-                rest = key[:k] + ((place, count - 1),) + key[k + 1:]
-            else:
-                rest = key[:k] + key[k + 1:]
+        last = None
+        for k, place in enumerate(key):
+            if place == last:
+                continue
+            last = place
+            rest = key[:k] + key[k + 1:]
             for t in outs[place]:
                 post = t.post
                 if post is None:
                     yield t, rest, rest
-                    continue
-                j = bisect_left(rest, (post,))
-                if j < len(rest) and rest[j][0] == post:
-                    after = rest[:j] + ((post, rest[j][1] + 1),) + rest[j + 1:]
                 else:
-                    after = rest[:j] + ((post, 1),) + rest[j:]
-                yield t, after, after
+                    j = bisect_left(rest, post)
+                    after = rest[:j] + (post,) + rest[j:]
+                    yield t, after, after
 
-    start = net.initial.items()
-    keys, _, edges = _explore([(start, start)], firings, limit)
-    return [Marking._of_key(key) for key in keys], edges
+    start = tuple(p for p, c in net.initial.items() for _ in range(c))
+    keys, _, edges, steps = _explore([(start, start)], firings, limit, keep)
+    if keep is not None:
+        return keys, edges, steps
+    return [Marking.of(*key) for key in keys], edges
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +354,8 @@ def _derivatives(spec: Spec):
 
 def build_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
     """Explore the transition system from main, state 0."""
-    names, states, edges = _explore([(show(spec.main), spec.main)],
-                                    _derivatives(spec), limit)
+    names, states, edges, _ = _explore([(show(spec.main), spec.main)],
+                                       _derivatives(spec), limit)
     return Lts(tuple(states), tuple(names), tuple(edges), (0,))
 
 
@@ -367,8 +373,8 @@ def build_net(spec: Spec, term: Term = None) -> Net:
     term.
     """
     t = spec.main if term is None else term
-    names, _, edges = _explore([(show(q), q) for q in components(t)],
-                               _derivatives(spec))
+    names, _, edges, _ = _explore([(show(q), q) for q in components(t)],
+                                  _derivatives(spec))
     empty = show(NIL)
     return Net([name for name in names if name != empty],
                [(names[i], a, None if names[j] == empty else names[j])

@@ -1,14 +1,21 @@
-"""The definition of firing, literal branching-bisimulation oracles, and
-randomized nets, terms, specifications and axiom instances for the tests.
+"""The definition of firing, literal branching-bisimulation oracles, the
+definitional check as it was before its edge filter, and randomized nets,
+terms, specifications and axiom instances for the tests.
 
 The oracles use only public engine names, so they check the refinement
-engine independently.  Generators draw from a caller-supplied
+engine and the marking exploration independently.  Generators draw from a caller-supplied
 random.Random, reproducible from a seed; axiom instances meet each
 law's side conditions by construction or by bounded resampling.
 """
 
-from cfmcheck.equiv import Partition
-from cfmcheck.net import THETA, Marking, Net, Transition, lts_step
+from bisect import bisect_left
+
+from cfmcheck.equiv import Partition, branching_bisim
+from cfmcheck.net import (
+    THETA, Marking, Net, StateLimitError, Transition, build_net, lts_step,
+    restrict_net,
+)
+from cfmcheck.security import Verdict, Witness
 from cfmcheck.syntax import (
     NIL, TAU, Const, Nil, Par, Prefix, Spec, Sum, Term, const_names, high,
     low, show, validate_spec,
@@ -215,6 +222,69 @@ def is_branching_bisimulation(net: Net, part: Partition) -> bool:
                         and _transfers(net, closures, part.same_class, b, a)):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the definitional check over every edge, as it was before flat keys
+
+def pair_key_reach_graph(net: Net, limit: int) -> tuple:
+    """The marking graph fired on sorted (place, count) keys, every edge
+    kept: (markings, edges) in breadth-first order.  Firing drops one
+    count of t.pre and bisects t.post's count in.  Reaching more than
+    limit markings raises StateLimitError with the number of markings
+    fully expanded by then."""
+    def firings(key):
+        for k, (place, count) in enumerate(key):
+            if count > 1:
+                rest = key[:k] + ((place, count - 1),) + key[k + 1:]
+            else:
+                rest = key[:k] + key[k + 1:]
+            for t in net.out(place):
+                post = t.post
+                if post is None:
+                    yield t, rest
+                    continue
+                j = bisect_left(rest, (post,))
+                if j < len(rest) and rest[j][0] == post:
+                    yield t, rest[:j] + ((post, rest[j][1] + 1),) + rest[j + 1:]
+                else:
+                    yield t, rest[:j] + ((post, 1),) + rest[j:]
+
+    keys = [net.initial.items()]
+    index = {keys[0]: 0}
+    edges = []
+    for cursor, key in enumerate(keys):
+        for t, after in firings(key):
+            if after not in index:
+                if len(keys) >= limit:
+                    raise StateLimitError(limit, cursor)
+                index[after] = len(keys)
+                keys.append(after)
+            edges.append((cursor, t, index[after]))
+    return [Marking(key) for key in keys], edges
+
+
+def all_edges_definitional(spec: Spec, limit: int = 10 ** 6) -> Verdict:
+    """The definitional check over every marking as a Marking and every
+    edge: each high edge whose endpoints differ in their multisets of
+    restricted branching classes is a witness, its context the source
+    marking less the consumed token.  Stats: markings and steps."""
+    net = build_net(spec)
+    part = branching_bisim(restrict_net(net, spec.high_names))
+    markings, edges = pair_key_reach_graph(net, limit)
+    names = net.names
+    witnesses = []
+    for source, t, target in edges:
+        if (t.label.is_high and part.marking_key(markings[source])
+                != part.marking_key(markings[target])):
+            context = Marking((names[p], c - (p == t.pre))
+                              for p, c in markings[source].items())
+            witnesses.append(Witness(
+                (names[t.pre], str(t.label),
+                 None if t.post is None else names[t.post]), context,
+                "the marking after this high step is observably different"))
+    return Verdict.decide("definitional", witnesses, markings=len(markings),
+                          steps=len(edges))
 
 
 # ---------------------------------------------------------------------------

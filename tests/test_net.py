@@ -220,7 +220,8 @@ def fired_reach_graph(net, limit):
                 after = fire(net, m, t)
                 yield t, after, after
 
-    markings, _, edges = _explore([(net.initial, net.initial)], firings, limit)
+    markings, _, edges, _ = _explore([(net.initial, net.initial)], firings,
+                                     limit)
     return markings, edges
 
 
@@ -270,6 +271,26 @@ class TestReachGraphAgainstFiring:
             # a tight cap: both explorations stop at the same state
             capped_draws += self.assert_same(net, limit=20) == 0
         assert repeated > 50 and capped_draws > 20
+
+    def test_filtered_exploration(self):
+        # keep narrows the edges and nothing else: the same markings as
+        # flat keys, every edge still counted, only accepted edges kept
+        rng = random.Random(9)
+        kept_total = 0
+        for _ in range(300):
+            spec = random_spec(rng)
+            net = build_net(spec)
+            markings, edges = reach_graph(net, limit=5000)
+            accepted = frozenset(t for t in net.transitions
+                                 if t.label.is_high)
+            keys, kept, steps = reach_graph(net, limit=5000,
+                                            keep=accepted.__contains__)
+            assert [Marking.of(*key) for key in keys] == markings
+            assert all(list(key) == sorted(key) for key in keys)
+            assert steps == len(edges)
+            assert kept == [e for e in edges if e[1] in accepted]
+            kept_total += len(kept)
+        assert kept_total > 1000
 
     def test_copies_scale(self):
         # criterion 7's insecure 10-constant ring, 8 copies

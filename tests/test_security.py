@@ -3,6 +3,7 @@ examples, then the relations the procedures must keep to each other."""
 
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -14,7 +15,7 @@ from cfmcheck.security import (
     sbndc_interleaving,
 )
 from cfmcheck.syntax import Par, parse_spec, show
-from support import random_spec, sort
+from support import all_edges_definitional, random_spec, sort
 
 
 def spec_of(text):
@@ -258,6 +259,51 @@ class TestSharedAnalysis:
         assert calls == Counter(build_net=1, restrict_net=1,
                                 branching_bisim=1, rooted_partition=1,
                                 reach_graph=1)
+
+
+def definitional_outcome(check, spec, limit):
+    """What the definitional check answers, or how far it got if capped."""
+    try:
+        v = check(spec, limit)
+    except StateLimitError as error:
+        return "capped", error.explored
+    return (v.method, v.secure, v.witnesses, v.stats["markings"],
+            v.stats["steps"])
+
+
+class TestDefinitionalAgainstAllEdges:
+    """dni_definitional keeps only the high edges between flat marking
+    keys; the check over every edge and every Marking must agree with it
+    on verdicts, witnesses with their contexts, markings, steps and the
+    capped explored count."""
+
+    def assert_same(self, spec, limit):
+        got = definitional_outcome(dni_definitional, spec, limit)
+        assert got == definitional_outcome(all_edges_definitional, spec,
+                                           limit), show(spec.main)
+        return got
+
+    def test_random_specs(self):
+        # each spec in full and under a tight cap, where both must stop
+        # after expanding the same number of markings
+        rng = random.Random(46)
+        specs = [random_spec(rng) for _ in range(500)]
+        full = [self.assert_same(spec, 5000) for spec in specs]
+        capped = [self.assert_same(spec, 30) for spec in specs]
+        assert sum(o[1] is False for o in full) > 200
+        assert sum(len(o[2]) for o in full) > 5000
+        assert sum(o[0] == "capped" for o in capped) > 50
+
+    def test_ring_copies(self):
+        for k in range(1, 7):
+            for high_body, secure in (("h.C9", False),
+                                      ("h.a.C9 + a.C9", True)):
+                got = self.assert_same(ring_copies(k, high_body), 10 ** 6)
+                assert got[1] is secure and len(got[2]) == (
+                    0 if secure else comb(k + 8, 9))
+
+    def test_capped_copies(self):
+        assert self.assert_same(ring_copies(8), 5000)[0] == "capped"
 
 
 class TestAnalysisStats:
