@@ -13,13 +13,15 @@ from .syntax import NIL, Action, Const, Nil, Par, Prefix, Spec, Sum, Term, show
 
 
 class StateLimitError(RuntimeError):
-    """An exhaustive exploration hit its configured marking cap.
+    """An exhaustive exploration hit its configured cap on states, the
+    markings of a net or the states of a transition system.
 
     explored counts the states whose moves were fully expanded by then.
     """
 
     def __init__(self, limit, explored=0):
-        super().__init__(f"state space exceeds the cap of {limit} markings")
+        super().__init__(f"state space exceeds the cap of {limit} states "
+                         f"({explored} fully explored)")
         self.limit = limit
         self.explored = explored
 
@@ -125,22 +127,36 @@ def dec(t: Term) -> Marking:
             return Marking.of(show(t))
 
 
+def _skeleton(term: Term) -> tuple:
+    """The |-skeleton of a term: its sequential leaves left to right, 0
+    included, and the format template that show renders the term by, one
+    {} per leaf, with the parentheses show puts around a right-nested
+    Par.
+    """
+    parts, leaves = [], []
+    stack = [term]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            parts.append(u)
+        elif isinstance(u, Par):
+            if isinstance(u.right, Par):
+                stack += (")", u.right, "(", " | ", u.left)
+            else:
+                stack += (u.right, " | ", u.left)
+        else:
+            parts.append("{}")
+            leaves.append(u)
+    return "".join(parts), leaves
+
+
 def components(term: Term) -> list:
     """Distinct sequential components of a parallel term, sorted."""
     found = {}
-
-    def walk(u):
-        match u:
-            case Nil():
-                pass
-            case Par(left, right):
-                walk(left)
-                walk(right)
-            case _:
-                found.setdefault(show(u), u)
-
-    walk(term)
-    return [term for _, term in sorted(found.items())]
+    for leaf in _skeleton(term)[1]:
+        if not isinstance(leaf, Nil):
+            found.setdefault(show(leaf), leaf)
+    return [found[name] for name in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,36 +307,43 @@ def reach_graph(net: Net, limit: int = 10 ** 6, keep=None) -> tuple:
 # ---------------------------------------------------------------------------
 # the term-level transition system
 
+def _plug(body: Term, context) -> Term:
+    """Put body in the hole of a Par context, the chain of (outer
+    context, hole on the left, sibling) triples ending in None."""
+    while context is not None:
+        context, left, sibling = context
+        body = Par(body, sibling) if left else Par(sibling, body)
+    return body
+
+
 def _steps(t: Term, spec: Spec) -> list:
     """The distinct moves of t as (action, rendering, successor), each
-    successor rendered once."""
+    successor rendered once, in depth-first order: left operands first,
+    constants unfolded."""
     seen = set()
     result = []
-
-    def emit(action, successor):
-        key = show(successor)
-        if (action, key) not in seen:
-            seen.add((action, key))
-            result.append((action, key, successor))
-
-    def walk(u, wrap):
+    stack = [(t, None)]
+    while stack:
+        u, context = stack.pop()
         match u:
             case Nil():
                 pass
             case Prefix(action, body):
-                emit(action, wrap(body))
+                successor = body if context is None else _plug(body, context)
+                key = show(successor)
+                if (action, key) not in seen:
+                    seen.add((action, key))
+                    result.append((action, key, successor))
             case Sum(left, right):
-                walk(left, wrap)
-                walk(right, wrap)
+                stack.append((right, context))
+                stack.append((left, context))
             case Const(name):
-                walk(spec.body_of(name), wrap)
+                stack.append((spec.body_of(name), context))
             case Par(left, right):
-                walk(left, lambda v, r=right: wrap(Par(v, r)))
-                walk(right, lambda v, l=left: wrap(Par(l, v)))
+                stack.append((right, (context, False, left)))
+                stack.append((left, (context, True, right)))
             case _:
                 raise TypeError(f"not a term: {u!r}")
-
-    walk(t, lambda v: v)
     return result
 
 
@@ -347,16 +370,89 @@ class Lts(NamedTuple):
     roots: tuple
 
 
-def _derivatives(spec: Spec):
-    """The moves of a term for _explore, keyed by rendering."""
-    return lambda t: _steps(t, spec)
+def _place_table(spec: Spec, roots, limit=None) -> tuple:
+    """The sequential terms reachable from roots, as (names, terms,
+    edges): each place's rendering and term in discovery order, roots
+    first, and its moves as (place, action, place) triples, grouped by
+    source in _steps order.  limit caps the places as _explore does."""
+    names, terms, edges, _ = _explore([(show(q), q) for q in roots],
+                                      lambda t: _steps(t, spec), limit)
+    return names, terms, edges
 
 
 def build_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
-    """Explore the transition system from main, state 0."""
-    names, states, edges, _ = _explore([(show(spec.main), spec.main)],
-                                       _derivatives(spec), limit)
-    return Lts(tuple(states), tuple(names), tuple(edges), (0,))
+    """Explore the transition system from main, state 0.
+
+    | never occurs under a prefix or in a choice, so every move of main
+    moves exactly one leaf of main's fixed |-skeleton, and the system is
+    the product of the leaves' place moves: a state is the tuple of its
+    leaves' places, and its moves are those of each leaf in turn, left
+    to right.  Two moves of different leaves reach the same state only
+    when both loop, so only looping actions are deduplicated per state.
+    States are named by the skeleton's template and rebuilt as terms
+    from it, as show and the term moves would give them.  A main that
+    is one leaf is its own place table.
+    """
+    if not isinstance(spec.main, Par):
+        names, terms, edges = _place_table(spec, [spec.main], limit)
+        return Lts(tuple(terms), tuple(names), tuple(edges), (0,))
+
+    template, leaves = _skeleton(spec.main)
+    names, terms, edges = _place_table(spec, leaves)
+    moves = [[] for _ in names]
+    for source, action, target in edges:
+        moves[source].append((action, target))
+    # the place table numbers the distinct leaves first, in leaf order
+    first = {}
+    start = tuple(first.setdefault(show(leaf), len(first)) for leaf in leaves)
+
+    def product_moves(state):
+        loops = None
+        for i, place in enumerate(state):
+            for action, target in moves[place]:
+                if target == place:
+                    if loops is None:
+                        loops = {action}
+                    elif action in loops:
+                        continue
+                    else:
+                        loops.add(action)
+                    yield action, state, state
+                else:
+                    successor = state[:i] + (target,) + state[i + 1:]
+                    yield action, successor, successor
+
+    states, _, product_edges, _ = _explore([(start, start)], product_moves,
+                                           limit)
+    return Lts(tuple(_par_terms(spec.main, terms, states)),
+               tuple(template.format(*[names[p] for p in state])
+                     for state in states),
+               tuple(product_edges), (0,))
+
+
+def _par_terms(main: Par, terms, states):
+    """The term of each state: main's |-skeleton with the state's leaf
+    places in its leaves."""
+    # the skeleton in postfix order: True for a Par of the two terms on
+    # top of the stack, False for the next leaf
+    code, stack = [], [main]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Par):
+            stack += (True, u.right, u.left)
+        else:
+            code.append(u is True)
+    for state in states:
+        built = []
+        leaf = 0
+        for is_par in code:
+            if is_par:
+                right = built.pop()
+                built[-1] = Par(built[-1], right)
+            else:
+                built.append(terms[state[leaf]])
+                leaf += 1
+        yield built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +469,7 @@ def build_net(spec: Spec, term: Term = None) -> Net:
     term.
     """
     t = spec.main if term is None else term
-    names, _, edges, _ = _explore([(show(q), q) for q in components(t)],
-                                  _derivatives(spec))
+    names, _, edges = _place_table(spec, components(t))
     empty = show(NIL)
     return Net([name for name in names if name != empty],
                [(names[i], a, None if names[j] == empty else names[j])

@@ -1,5 +1,6 @@
 """The definition of firing, literal branching-bisimulation oracles, the
-definitional check as it was before its edge filter, and randomized nets,
+definitional check as it was before its edge filter, the term
+transition system explored on whole terms, and randomized nets,
 terms, specifications and axiom instances for the tests.
 
 The oracles use only public engine names, so they check the refinement
@@ -12,8 +13,8 @@ from bisect import bisect_left
 
 from cfmcheck.equiv import Partition, branching_bisim
 from cfmcheck.net import (
-    THETA, Marking, Net, StateLimitError, Transition, build_net, lts_step,
-    restrict_net,
+    THETA, Lts, Marking, Net, StateLimitError, Transition, build_net,
+    lts_step, restrict_net,
 )
 from cfmcheck.security import Verdict, Witness
 from cfmcheck.syntax import (
@@ -285,6 +286,57 @@ def all_edges_definitional(spec: Spec, limit: int = 10 ** 6) -> Verdict:
                 "the marking after this high step is observably different"))
     return Verdict.decide("definitional", witnesses, markings=len(markings),
                           steps=len(edges))
+
+
+# ---------------------------------------------------------------------------
+# the term transition system, explored on whole terms
+
+def term_moves(t: Term, spec: Spec) -> list:
+    """The distinct moves of t as (action, rendering, successor): choice
+    offers both summands, a constant moves like its body, and parallel
+    composition interleaves, left operand first.  A move is kept once
+    per action and rendering of its successor."""
+    seen = set()
+    result = []
+
+    def walk(u, wrap):
+        match u:
+            case Prefix(action, body):
+                successor = wrap(body)
+                key = show(successor)
+                if (action, key) not in seen:
+                    seen.add((action, key))
+                    result.append((action, key, successor))
+            case Sum(left, right):
+                walk(left, wrap)
+                walk(right, wrap)
+            case Const(name):
+                walk(spec.body_of(name), wrap)
+            case Par(left, right):
+                walk(left, lambda v: wrap(Par(v, right)))
+                walk(right, lambda v: wrap(Par(left, v)))
+
+    walk(t, lambda v: v)
+    return result
+
+
+def term_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
+    """The transition system of main explored on whole terms, each state
+    interned by its rendering, breadth-first from main, state 0.
+    Reaching more than limit states raises StateLimitError with the
+    number of states fully expanded by then."""
+    names, states, edges = [show(spec.main)], [spec.main], []
+    index = {names[0]: 0}
+    for cursor, term in enumerate(states):
+        for action, key, successor in term_moves(term, spec):
+            if key not in index:
+                if len(names) >= limit:
+                    raise StateLimitError(limit, cursor)
+                index[key] = len(names)
+                names.append(key)
+                states.append(successor)
+            edges.append((cursor, action, index[key]))
+    return Lts(tuple(states), tuple(names), tuple(edges), (0,))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ import subprocess
 
 import pytest
 
+from cfmcheck import cli
 from cfmcheck.cli import _parser, build_parser, main
+from cfmcheck.net import StateLimitError, build_lts, build_net, reach_graph
+from cfmcheck.syntax import parse_spec
+from support import term_lts
 
 SECURE = "high h\nC := h.l.C + l.C\nmain := C\n"
 INSECURE = "high h\nC := h.B\nB := l.B\nmain := C | B\n"
@@ -89,6 +93,45 @@ class TestLtsAndReach:
         path.write_text("main := " + " | ".join(["a.b.c.0"] * 12) + "\n")
         assert main(["reach", "--max-states", "40", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        INSECURE,
+        "high h\nA := a.A + h.B\nB := b.0 + tau.A\nmain := A | B | 0 | A\n",
+        "main := a.b.0 | (c.0 + d.0 | (0 + 0 | tau.a.0))\n",
+        "X := a.X\nY := h.X + b.Y\nhigh h\nmain := (X | Y) | X\n",
+    ])
+    def test_lts_output_matches_term_exploration(self, tmp_path, capsys,
+                                                 monkeypatch, text):
+        path = tmp_path / "spec.cfm"
+        path.write_text(text)
+        formats = (["lts"], ["lts", "--format", "json"],
+                   ["lts", "--format", "dot"])
+        printed = []
+        for explore in (build_lts, term_lts):
+            monkeypatch.setattr(cli, "build_lts", explore)
+            for argv in formats:
+                assert main(argv + [str(path)]) == 0
+                printed.append(capsys.readouterr().out)
+        assert printed[:3] == printed[3:]
+
+    @pytest.mark.parametrize("command,explore", [
+        ("lts", lambda spec: build_lts(spec, limit=40)),
+        ("reach", lambda spec: reach_graph(build_net(spec), limit=40)),
+    ])
+    def test_cap_names_states_and_progress(self, tmp_path, capsys, command,
+                                           explore):
+        text = "main := " + " | ".join(["a.b.c.0"] * 12) + "\n"
+        path = tmp_path / "wide.cfm"
+        path.write_text(text)
+        with pytest.raises(StateLimitError) as capped:
+            explore(parse_spec(text))
+        assert 0 < capped.value.explored < 40
+        assert main([command, "--max-states", "40", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: state space exceeds the cap of 40 states "
+            f"({capped.value.explored} fully explored)\n")
 
 
 class TestEquivCommand:

@@ -1,5 +1,7 @@
-"""Markings, net construction, firing, reachability, and serialization."""
+"""Markings, net construction, firing, reachability, the term transition
+system, and serialization."""
 
+import gc
 import random
 import time
 
@@ -10,11 +12,11 @@ from cfmcheck.net import (
     build_net, dec, lts_step, net_to_dot, net_to_json, reach_graph,
     restrict_net,
 )
-from cfmcheck.security import dni_structural
+from cfmcheck.security import dni_structural, sbndc_interleaving
 from cfmcheck.syntax import NIL, high, low, parse_spec, parse_term, show
 from support import (
     NotEnabledError, fire, random_marking, random_net, random_spec,
-    silent_closure, sort,
+    silent_closure, sort, term_lts,
 )
 
 
@@ -367,6 +369,81 @@ class TestLts:
                 j = midx[net.intern_marking(dec(term))]
                 assert cls[i] == cls[offset + j]
             assert len(set(lts.edges)) == len(lts.edges)
+
+
+def ring_copies(k, n=10, secure=True):
+    """k copies of an n-constant ring with one high step at C(n/2)."""
+    bodies = [f"a.C{(i + 1) % n}" for i in range(n)]
+    half = n // 2
+    bodies[half] = (f"h.{bodies[half]} + {bodies[half]}" if secure
+                    else f"h.C{(half + 1) % n}")
+    defs = "\n".join(f"C{i} := {body}" for i, body in enumerate(bodies))
+    return spec_of(f"high h\n{defs}\nmain := {' | '.join(['C0'] * k)}")
+
+
+class TestLtsAgainstTerms:
+    """build_lts explores the product of per-place moves; term_lts
+    explores whole terms.  They must give the same system."""
+
+    def assert_same(self, spec, limit=20000):
+        # states, names, edges and roots, or the explored count at the cap
+        expected = capped(term_lts, spec, limit)
+        assert capped(build_lts, spec, limit) == expected, show(spec.main)
+
+    def test_random_specs(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            spec = random_spec(rng)
+            self.assert_same(spec)
+            self.assert_same(spec, limit=7)
+
+    def test_ring_copies(self):
+        for k in range(1, 5):
+            for secure in (True, False):
+                spec = ring_copies(k, secure=secure)
+                self.assert_same(spec)
+                self.assert_same(spec, limit=40)
+
+    @pytest.mark.parametrize("text", [
+        "main := 0",
+        "main := 0 | 0",
+        "main := (a.0 | b.0) | c.0",
+        "main := a.0 | (b.0 | c.0)",
+        "X := a.X\nmain := X | X",
+        "X := a.b.X + tau.X\nmain := X",
+        "main := a.0 + a.0 | 0 | (b.a.0 | 0 + 0)",
+    ])
+    def test_edge_cases(self, text):
+        spec = spec_of(text)
+        self.assert_same(spec)
+        for limit in (1, 2, 3):
+            self.assert_same(spec, limit)
+
+    def test_looping_leaves_share_their_edge(self):
+        lts = build_lts(spec_of("X := a.X\nmain := X | X"))
+        assert lts.names == ("X | X",)
+        assert [(s, str(a), t) for s, a, t in lts.edges] == [(0, "a", 0)]
+
+
+class TestNoReferenceCycles:
+    """The engine's walks leave nothing for the cyclic collector."""
+
+    @pytest.mark.parametrize("check", [build_net, build_lts,
+                                       sbndc_interleaving])
+    def test_one_call_leaves_no_garbage(self, check):
+        spec = ring_copies(2, n=50)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            check(spec)
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert garbage == 0
 
 
 class TestSerialization:

@@ -192,6 +192,16 @@ class TestHelpers:
             "definitional", "structural", "compositional", "rooted", "sbndc"]
         assert all("seconds" in v.stats for v in verdicts)
 
+    def test_sbndc_stats(self):
+        spec = spec_of("high h\nC := h.B\nB := l.B\nmain := C | B")
+        verdict = sbndc_interleaving(spec)
+        assert verdict.secure
+        assert set(verdict.stats) == {"states", "steps", "explore_s",
+                                      "refine_s"}
+        # C | B, B | B: h once, l from each leaf but B | B's l loops once
+        assert verdict.stats["states"] == 2 and verdict.stats["steps"] == 3
+        assert verdict.stats["explore_s"] >= 0 <= verdict.stats["refine_s"]
+
 
 def outcome(verdict):
     return verdict.method, verdict.secure, verdict.witnesses
