@@ -3,9 +3,11 @@
 Exit codes: 0 when the requested property holds (secure, typed,
 equivalent) or the requested artifact was produced, 1 when the property
 fails, 2 on usage, parse or resource errors, including input nested too
-deeply for the checker and a file that is not UTF-8 text.  `dni` exits
-1 when any verdict is insecure, else 2 when a capped check left its
-verdict inconclusive.
+deeply for the checker, memory running out and a file that is not UTF-8
+text.  Any other exception is a fault of the checker: it prints
+`error: internal error: TYPE: message` and its traceback on stderr and
+exits 2 too, never 1.  `dni` exits 1 when any verdict is insecure, else
+2 when a capped check left its verdict inconclusive.
 """
 
 import argparse
@@ -260,8 +262,7 @@ def run_type(args) -> int:
             else _derivation_json(judgment.derivation),
         }, indent=2))
     else:
-        for line in typesystem.judgment_lines(judgment):
-            print(line)
+        sys.stdout.write("\n".join(typesystem.judgment_lines(judgment)) + "\n")
     return 0 if judgment.typed else 1
 
 
@@ -278,6 +279,15 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: the input is nested too deeply for the checker",
               file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except Exception as error:  # noqa: BLE001 - a fault, not a verdict
+        print(f"error: internal error: {type(error).__name__}: {error}",
+              file=sys.stderr)
+        import traceback  # only a fault needs it: keep it off start-up
+        traceback.print_exc()
         return 2
 
 

@@ -127,33 +127,24 @@ def dec(t: Term) -> Marking:
             return Marking.of(show(t))
 
 
-def _skeleton(term: Term) -> tuple:
-    """The |-skeleton of a term: its sequential leaves left to right, 0
-    included, and the format template that show renders the term by, one
-    {} per leaf, with the parentheses show puts around a right-nested
-    Par.
-    """
-    parts, leaves = [], []
+def _leaves(term: Term) -> list:
+    """The sequential leaves of a term's |-skeleton, left to right, 0
+    included."""
+    leaves = []
     stack = [term]
     while stack:
         u = stack.pop()
-        if isinstance(u, str):
-            parts.append(u)
-        elif isinstance(u, Par):
-            if isinstance(u.right, Par):
-                stack += (")", u.right, "(", " | ", u.left)
-            else:
-                stack += (u.right, " | ", u.left)
+        if isinstance(u, Par):
+            stack += (u.right, u.left)
         else:
-            parts.append("{}")
             leaves.append(u)
-    return "".join(parts), leaves
+    return leaves
 
 
 def components(term: Term) -> list:
     """Distinct sequential components of a parallel term, sorted."""
     found = {}
-    for leaf in _skeleton(term)[1]:
+    for leaf in _leaves(term):
         if not isinstance(leaf, Nil):
             found.setdefault(show(leaf), leaf)
     return [found[name] for name in sorted(found)]
@@ -389,15 +380,15 @@ def build_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
     leaves' places, and its moves are those of each leaf in turn, left
     to right.  Two moves of different leaves reach the same state only
     when both loop, so only looping actions are deduplicated per state.
-    States are named by the skeleton's template and rebuilt as terms
-    from it, as show and the term moves would give them.  A main that
-    is one leaf is its own place table.
+    States are rebuilt as terms from the skeleton, as the term moves
+    would give them, and named by their renderings.  A main that is one
+    leaf is its own place table.
     """
     if not isinstance(spec.main, Par):
         names, terms, edges = _place_table(spec, [spec.main], limit)
         return Lts(tuple(terms), tuple(names), tuple(edges), (0,))
 
-    template, leaves = _skeleton(spec.main)
+    leaves = _leaves(spec.main)
     names, terms, edges = _place_table(spec, leaves)
     moves = [[] for _ in names]
     for source, action, target in edges:
@@ -424,15 +415,15 @@ def build_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
 
     states, _, product_edges, _ = _explore([(start, start)], product_moves,
                                            limit)
-    return Lts(tuple(_par_terms(spec.main, terms, states)),
-               tuple(template.format(*[names[p] for p in state])
-                     for state in states),
+    state_terms = tuple(_par_terms(spec.main, terms, states))
+    return Lts(state_terms, tuple(map(show, state_terms)),
                tuple(product_edges), (0,))
 
 
 def _par_terms(main: Par, terms, states):
     """The term of each state: main's |-skeleton with the state's leaf
-    places in its leaves."""
+    places in its leaves.  States share their inner Par nodes, each
+    built once with its rendering."""
     # the skeleton in postfix order: True for a Par of the two terms on
     # top of the stack, False for the next leaf
     code, stack = [], [main]
@@ -442,13 +433,19 @@ def _par_terms(main: Par, terms, states):
             stack += (True, u.right, u.left)
         else:
             code.append(u is True)
+    # inner nodes by the ids of their operands, which the nodes keep alive
+    inner = {}
     for state in states:
         built = []
         leaf = 0
         for is_par in code:
             if is_par:
                 right = built.pop()
-                built[-1] = Par(built[-1], right)
+                key = (id(built[-1]), id(right))
+                node = inner.get(key)
+                if node is None:
+                    node = inner[key] = Par(built[-1], right)
+                built[-1] = node
             else:
                 built.append(terms[state[leaf]])
                 leaf += 1

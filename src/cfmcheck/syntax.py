@@ -91,44 +91,36 @@ def high(name: str) -> Action:
 # ---------------------------------------------------------------------------
 # terms
 
-class Term:
-    """Base class of the immutable term variants."""
+class Term(tuple):
+    """Base class of the immutable term variants.
+
+    A term is the tuple of its fields followed by its rendering, which
+    the constructor builds once from the children's renderings.  show
+    is then a field read, and terms hash and compare as tuples do,
+    without Python code per call; the rendering keeps variants with the
+    same fields apart (a + b against a | b).  A variant's __match_args__
+    names its fields, for match patterns and, as properties, for
+    attribute access.
+    """
 
     __slots__ = ()
+    __match_args__ = ()
+
+    def __init_subclass__(cls):
+        for i, field in enumerate(cls.__match_args__):
+            setattr(cls, field, property(itemgetter(i)))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a term through __new__(*fields)
+        return self[:-1]
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self))
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self):
-        return show(self)
-
-
-@dataclass(frozen=True, slots=True)
-class Nil(Term):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Prefix(Term):
-    action: Action
-    body: Term
-
-
-@dataclass(frozen=True, slots=True)
-class Sum(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True, slots=True)
-class Const(Term):
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class Par(Term):
-    left: Term
-    right: Term
-
-
-NIL = Nil()
+        return self[-1]
 
 
 def show(t: Term) -> str:
@@ -137,32 +129,64 @@ def show(t: Term) -> str:
     Prefixing binds tightest, then +, then |; + and | associate to the
     left, so parentheses appear only around right-nested operands and
     around composite prefix bodies.  This rendering doubles as the
-    stable identity of net places, so it must stay injective on terms.
+    stable identity of net places, so it must stay injective on terms
+    (up to the levels of actions).  Terms carry it, so this is O(1).
     """
-    match t:
-        case Nil():
-            return "0"
-        case Const(name):
-            return name
-        case Prefix(action, body):
-            inner = show(body)
-            if isinstance(body, (Sum, Par)):
-                inner = f"({inner})"
-            return f"{action}.{inner}"
-        case Sum(left, right):
-            lhs = show(left)
-            rhs = show(right)
-            if isinstance(right, Sum):
-                rhs = f"({rhs})"
-            return f"{lhs} + {rhs}"
-        case Par(left, right):
-            lhs = show(left)
-            rhs = show(right)
-            if isinstance(right, Par):
-                rhs = f"({rhs})"
-            return f"{lhs} | {rhs}"
+    if isinstance(t, Term):
+        return t[-1]
     raise TypeError(f"not a term: {t!r}")
 
+
+class Nil(Term):
+    __slots__ = ()
+
+    def __new__(cls):
+        return tuple.__new__(cls, ("0",))
+
+
+class Prefix(Term):
+    __slots__ = ()
+    __match_args__ = ("action", "body")
+
+    def __new__(cls, action: Action, body: Term):
+        inner = show(body)
+        if isinstance(body, (Sum, Par)):
+            inner = f"({inner})"
+        return tuple.__new__(cls, (action, body,
+                                   f"{action[1] or TAU_NAME}.{inner}"))
+
+
+class Sum(Term):
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Term, right: Term):
+        rhs = show(right)
+        if isinstance(right, Sum):
+            rhs = f"({rhs})"
+        return tuple.__new__(cls, (left, right, f"{show(left)} + {rhs}"))
+
+
+class Const(Term):
+    __slots__ = ()
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (name, name))
+
+
+class Par(Term):
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Term, right: Term):
+        rhs = show(right)
+        if isinstance(right, Par):
+            rhs = f"({rhs})"
+        return tuple.__new__(cls, (left, right, f"{show(left)} | {rhs}"))
+
+
+NIL = Nil()
 
 GUARDED = "guarded"
 SEQUENTIAL = "sequential"
@@ -174,33 +198,41 @@ def category(t: Term) -> str:
 
     The checks mirror the grammar: parallel composition may not occur
     under a prefix or inside a choice, and a constant may not be used
-    directly as a summand.
+    directly as a summand.  The category of a term is fixed by its
+    outermost operator; the walk checks each operand against its
+    operator once the operand's own subterms have passed, left to
+    right, so the first violation is reported.
     """
-    match t:
-        case Nil():
-            return GUARDED
-        case Const(_):
-            return SEQUENTIAL
-        case Prefix(_, body):
-            if category(body) == PARALLEL:
+    # (term, its operator or None, whether its operands are checked)
+    stack = [(t, None, False)]
+    while stack:
+        u, outer, checked = stack.pop()
+        if not checked and isinstance(u, (Prefix, Sum, Par)):
+            stack.append((u, outer, True))
+            if isinstance(u, Prefix):
+                stack.append((u[1], u, False))
+            else:
+                stack += ((u[1], u, False), (u[0], u, False))
+            continue
+        kind = _CATEGORY.get(type(u))
+        if kind is None:
+            raise TypeError(f"not a term: {u!r}")
+        if isinstance(outer, Prefix):
+            if kind == PARALLEL:
                 raise CategoryError(
-                    f"parallel composition under an action prefix: {show(t)}")
-            return GUARDED
-        case Sum(left, right):
-            for side in (left, right):
-                kind = category(side)
-                if kind == SEQUENTIAL:
-                    raise CategoryError(
-                        f"constant {show(side)} used directly as a summand in {show(t)}")
-                if kind == PARALLEL:
-                    raise CategoryError(
-                        f"parallel composition used as a summand in {show(t)}")
-            return GUARDED
-        case Par(left, right):
-            category(left)
-            category(right)
-            return PARALLEL
-    raise TypeError(f"not a term: {t!r}")
+                    f"parallel composition under an action prefix: {show(outer)}")
+        elif isinstance(outer, Sum):
+            if kind == SEQUENTIAL:
+                raise CategoryError(
+                    f"constant {show(u)} used directly as a summand in {show(outer)}")
+            if kind == PARALLEL:
+                raise CategoryError(
+                    f"parallel composition used as a summand in {show(outer)}")
+    return _CATEGORY[type(t)]
+
+
+_CATEGORY = {Nil: GUARDED, Const: SEQUENTIAL, Prefix: GUARDED, Sum: GUARDED,
+             Par: PARALLEL}
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +278,19 @@ def validate_spec(spec: Spec) -> None:
 
 def const_names(t: Term) -> set:
     """Names of the constants occurring syntactically in t (no unfolding)."""
-    match t:
-        case Nil():
-            return set()
-        case Const(name):
-            return {name}
-        case Prefix(_, body):
-            return const_names(body)
-        case Sum(left, right) | Par(left, right):
-            return const_names(left) | const_names(right)
-    raise TypeError(f"not a term: {t!r}")
+    names = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Const):
+            names.add(u[0])
+        elif isinstance(u, Prefix):
+            stack.append(u[1])
+        elif isinstance(u, (Sum, Par)):
+            stack += (u[0], u[1])
+        elif not isinstance(u, Nil):
+            raise TypeError(f"not a term: {u!r}")
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +346,15 @@ def restrict_syntactic(t: Term, spec: Spec) -> tuple:
 
 def summands(t: Term) -> list:
     """Flatten nested choice into the list of its summands, left to right."""
-    match t:
-        case Sum(left, right):
-            return summands(left) + summands(right)
-        case _:
-            return [t]
+    parts = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Sum):
+            stack += (u[1], u[0])
+        else:
+            parts.append(u)
+    return parts
 
 
 def sum_of(parts) -> Term:
@@ -343,12 +382,15 @@ def normalize_sum(t: Term) -> Term:
         case Nil() | Const(_):
             return t
         case Prefix(action, body):
-            return Prefix(action, normalize_sum(body))
+            inner = normalize_sum(body)
+            return t if inner is body else Prefix(action, inner)
         case Par(left, right):
-            return Par(normalize_sum(left), normalize_sum(right))
+            lhs, rhs = normalize_sum(left), normalize_sum(right)
+            return t if lhs is left and rhs is right else Par(lhs, rhs)
         case Sum(_, _):
             parts = [normalize_sum(u) for u in summands(t)]
-            live = sorted({show(u): u for u in parts if u != NIL}.items())
+            live = sorted({show(u): u for u in parts
+                           if not isinstance(u, Nil)}.items())
             if not live:
                 return Sum(NIL, NIL)
             if len(live) == 1:
@@ -415,49 +457,52 @@ class _Scanner:
 def _parse_term(scanner: _Scanner, high_names, known_consts) -> Term:
     """par := sum ('|' sum)* ; sum := prefix ('+' prefix)* ;
     prefix := (action '.')* atom ; atom := '0' | CONST | '(' par ')'."""
+    term = _parse_sum(scanner, high_names, known_consts)
+    while scanner.try_take("|"):
+        term = Par(term, _parse_sum(scanner, high_names, known_consts))
+    return term
 
-    def action_of(name, column):
-        if name == TAU_NAME:
-            return TAU
-        if name in KEYWORDS:
-            scanner.error(f"{name} is a reserved word", column)
-        if not name[0].islower():
-            scanner.error(f"action names are lowercase, found {name!r}", column)
-        return high(name) if name in high_names else low(name)
 
-    def parse_atom():
+def _parse_sum(scanner, high_names, known_consts) -> Term:
+    term = _parse_prefix(scanner, high_names, known_consts)
+    while scanner.try_take("+"):
+        term = Sum(term, _parse_prefix(scanner, high_names, known_consts))
+    return term
+
+
+def _parse_prefix(scanner, high_names, known_consts) -> Term:
+    """Read a.b.c.atom in a loop, then build the prefixes inside-out."""
+    actions = []
+    while True:
         if scanner.try_take("0"):
-            return NIL
+            term = NIL
+            break
         if scanner.try_take("("):
-            inner = parse_par()
+            term = _parse_term(scanner, high_names, known_consts)
             scanner.take(")")
-            return inner
+            break
         column = scanner.pos + 1
         name = scanner.ident()
         if name[0].isupper():
             known_consts.add(name)
-            return Const(name)
+            term = Const(name)
+            break
         # a lowercase name here must be an action prefix
-        act = action_of(name, column)
+        actions.append(_action_of(scanner, high_names, name, column))
         scanner.take(".")
-        return Prefix(act, parse_prefix())
+    for action in reversed(actions):
+        term = Prefix(action, term)
+    return term
 
-    def parse_prefix():
-        return parse_atom()
 
-    def parse_sum():
-        term = parse_prefix()
-        while scanner.try_take("+"):
-            term = Sum(term, parse_prefix())
-        return term
-
-    def parse_par():
-        term = parse_sum()
-        while scanner.try_take("|"):
-            term = Par(term, parse_sum())
-        return term
-
-    return parse_par()
+def _action_of(scanner, high_names, name, column) -> Action:
+    if name == TAU_NAME:
+        return TAU
+    if name in KEYWORDS:
+        scanner.error(f"{name} is a reserved word", column)
+    if not name[0].islower():
+        scanner.error(f"action names are lowercase, found {name!r}", column)
+    return high(name) if name in high_names else low(name)
 
 
 def _strip_comment(line: str) -> str:

@@ -71,13 +71,17 @@ def type_check(spec: Spec, term: Term = None) -> TypingJudgment:
     associativity, idempotence and dropped 0 summands; a choice with
     high branches is then searched over all ways of singling one out.
     Results are memoized on the normalized rendering plus the set of
-    constants already under scan.
+    constants already under scan, normal forms on the rendering, and
+    side conditions on the pair of renderings.
     """
     target = spec.main if term is None else term
-    memo = {}
+    memo, normal, equal = {}, {}, {}
 
     def check(t, scanned) -> TypingJudgment:
-        canon = normalize_sum(t)
+        shown = show(t)
+        canon = normal.get(shown)
+        if canon is None:
+            canon = normal[shown] = normalize_sum(t)
         key = (show(canon), scanned)
         if key not in memo:
             # a derivation may not take itself as a premise, so a
@@ -86,9 +90,15 @@ def type_check(spec: Spec, term: Term = None) -> TypingJudgment:
                                        "circular typing dependency", canon)
             memo[key] = judge(canon, scanned)
         found = memo[key]
-        if show(t) != show(canon):
+        if shown != key[0]:
             found = replace(found, term=t)
         return found
+
+    def equivalent(p, q) -> bool:
+        key = (show(p), show(q))
+        if key not in equal:
+            equal[key] = decide_equational(p, q, spec)
+        return equal[key]
 
     def judge(t, scanned) -> TypingJudgment:
         match t:
@@ -144,7 +154,7 @@ def type_check(spec: Spec, term: Term = None) -> TypingJudgment:
             if not kept.typed:
                 failures.append(f"{show(remainder)} is not typable")
                 continue
-            if not decide_equational(picked.body, remainder, spec):
+            if not equivalent(picked.body, remainder):
                 failures.append(
                     f"{show(picked.body)} and {show(remainder)} differ "
                     "once high actions are hidden")
@@ -173,21 +183,31 @@ def type_check(spec: Spec, term: Term = None) -> TypingJudgment:
     def untyped(t, scanned, failing, reason) -> TypingJudgment:
         return TypingJudgment(t, scanned, False, None, reason, failing)
 
-    # check, judge and judge_choice refer to each other, so the memo sits
-    # in a reference cycle; emptying it frees the judgments on return
+    # check, judge and judge_choice refer to each other, so the dicts sit
+    # in a reference cycle; emptying them frees the judgments on return
     # instead of leaving them to the cyclic collector
     try:
         return check(target, frozenset())
     finally:
         memo.clear()
+        normal.clear()
+        equal.clear()
 
 
 def derivation_lines(d: Derivation, depth: int = 0) -> list:
     """Render a derivation as an indented rule-per-line listing."""
-    scanned = f"  [scanning {', '.join(sorted(d.scanned))}]" if d.scanned else ""
-    lines = [f"{'  ' * depth}{d.rule}: {show(d.term)}{scanned}"]
-    for child in d.children:
-        lines.extend(derivation_lines(child, depth + 1))
+    suffixes = {frozenset(): ""}
+    lines = []
+    stack = [(d, depth)]
+    while stack:
+        node, level = stack.pop()
+        scanned = node.scanned
+        suffix = suffixes.get(scanned)
+        if suffix is None:
+            suffix = suffixes[scanned] = \
+                f"  [scanning {', '.join(sorted(scanned))}]"
+        lines.append(f"{'  ' * level}{node.rule}: {show(node.term)}{suffix}")
+        stack += ((child, level + 1) for child in reversed(node.children))
     return lines
 
 

@@ -1,7 +1,9 @@
 """The definition of firing, literal branching-bisimulation oracles, the
 definitional check as it was before its edge filter, the term
-transition system explored on whole terms, and randomized nets,
-terms, specifications and axiom instances for the tests.
+transition system explored on whole terms, the recursive term walks
+the package replaced (rendering, categories, constant names and
+derivation listings), and randomized nets, terms, specifications and
+axiom instances for the tests.
 
 The oracles use only public engine names, so they check the refinement
 engine and the marking exploration independently.  Generators draw from a caller-supplied
@@ -18,8 +20,8 @@ from cfmcheck.net import (
 )
 from cfmcheck.security import Verdict, Witness
 from cfmcheck.syntax import (
-    NIL, TAU, Const, Nil, Par, Prefix, Spec, Sum, Term, const_names, high,
-    low, show, validate_spec,
+    GUARDED, NIL, PARALLEL, SEQUENTIAL, TAU, CategoryError, Const, Nil, Par,
+    Prefix, Spec, Sum, Term, const_names, high, low, show, validate_spec,
 )
 
 
@@ -104,6 +106,99 @@ def is_observationally_guarded(name: str, spec: Spec) -> bool:
                 seen.add(key)
                 frontier.append(successor)
     return True
+
+
+# ---------------------------------------------------------------------------
+# the recursive term walks, as oracles for the terms' cached renderings
+# and the package's iterative walks
+
+def naive_show(t: Term) -> str:
+    """The canonical rendering, recomputed over the whole term."""
+    match t:
+        case Nil():
+            return "0"
+        case Const(name):
+            return name
+        case Prefix(action, body):
+            inner = naive_show(body)
+            if isinstance(body, (Sum, Par)):
+                inner = f"({inner})"
+            return f"{action}.{inner}"
+        case Sum(left, right):
+            rhs = naive_show(right)
+            if isinstance(right, Sum):
+                rhs = f"({rhs})"
+            return f"{naive_show(left)} + {rhs}"
+        case Par(left, right):
+            rhs = naive_show(right)
+            if isinstance(right, Par):
+                rhs = f"({rhs})"
+            return f"{naive_show(left)} | {rhs}"
+    raise TypeError(f"not a term: {t!r}")
+
+
+def naive_category(t: Term) -> str:
+    """The category of t, raising on the first violation found depth first."""
+    match t:
+        case Nil():
+            return GUARDED
+        case Const(_):
+            return SEQUENTIAL
+        case Prefix(_, body):
+            if naive_category(body) == PARALLEL:
+                raise CategoryError(
+                    f"parallel composition under an action prefix: {show(t)}")
+            return GUARDED
+        case Sum(left, right):
+            for side in (left, right):
+                kind = naive_category(side)
+                if kind == SEQUENTIAL:
+                    raise CategoryError(
+                        f"constant {show(side)} used directly as a summand in {show(t)}")
+                if kind == PARALLEL:
+                    raise CategoryError(
+                        f"parallel composition used as a summand in {show(t)}")
+            return GUARDED
+        case Par(left, right):
+            naive_category(left)
+            naive_category(right)
+            return PARALLEL
+    raise TypeError(f"not a term: {t!r}")
+
+
+def naive_const_names(t: Term) -> set:
+    match t:
+        case Nil():
+            return set()
+        case Const(name):
+            return {name}
+        case Prefix(_, body):
+            return naive_const_names(body)
+        case Sum(left, right) | Par(left, right):
+            return naive_const_names(left) | naive_const_names(right)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def naive_derivation_lines(d, depth: int = 0) -> list:
+    """A derivation listing, one rule per line, recursing into premises."""
+    scanned = f"  [scanning {', '.join(sorted(d.scanned))}]" if d.scanned else ""
+    lines = [f"{'  ' * depth}{d.rule}: {naive_show(d.term)}{scanned}"]
+    for child in d.children:
+        lines.extend(naive_derivation_lines(child, depth + 1))
+    return lines
+
+
+def subterms(t: Term) -> list:
+    """Every subterm of t, t included, in preorder."""
+    found, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        found.append(u)
+        if isinstance(u, Prefix):
+            stack.append(u.body)
+        elif isinstance(u, (Sum, Par)):
+            stack += (u.right, u.left)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +521,20 @@ def random_spec(rng, max_consts: int = 6, max_depth: int = 5,
                                     **weights)
                   for _ in range(width))
     return make_spec(HIGH_NAMES, defs, main)
+
+
+def random_unchecked(rng, depth: int, consts=("P0", "P1")) -> Term:
+    """A random term of any shape, category violations included: | under
+    a prefix or in a choice, a constant as a summand."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.15:
+        return NIL if rng.random() < 0.6 else Const(rng.choice(consts))
+    if roll < 0.5:
+        return Prefix(_action(rng, 0.2, 0.25),
+                      random_unchecked(rng, depth - 1, consts))
+    kind = Sum if roll < 0.8 else Par
+    return kind(random_unchecked(rng, depth - 1, consts),
+                random_unchecked(rng, depth - 1, consts))
 
 
 def random_parallel(rng, depth: int = 3, max_width: int = 3) -> Term:

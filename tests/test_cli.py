@@ -4,10 +4,12 @@ import json
 import re
 import shutil
 import subprocess
+import sys
+import time
 
 import pytest
 
-from cfmcheck import cli
+from cfmcheck import cli, security, typesystem
 from cfmcheck.cli import _parser, build_parser, main
 from cfmcheck.net import StateLimitError, build_lts, build_net, reach_graph
 from cfmcheck.syntax import parse_spec
@@ -294,11 +296,42 @@ class TestErrors:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_deep_prefix_chain(self, tmp_path, capsys):
+        # a bare chain a.a.….0 parses in a loop (test_chain_*); nesting
+        # each prefix in parentheses still recurses in the parser
         path = tmp_path / "deep.cfm"
-        path.write_text("main := " + "a." * 1500 + "0\n")
+        path.write_text("main := " + "a.(" * 1500 + "0" + ")" * 1500 + "\n")
         assert main(["dni", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.fixture
+    def chain_path(self, tmp_path):
+        path = tmp_path / "chain.cfm"
+        path.write_text("high h\nmain := " + "a." * 5000 + "0\n")
+        return str(path)
+
+    def test_chain_checks_under_default_recursion_limit(self, chain_path,
+                                                       capsys):
+        # parsing, validation and compilation walk a.a.….0 in loops, and
+        # each place is named by a rendering built once
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            started = time.perf_counter()
+            code = main(["dni", chain_path])
+            elapsed = time.perf_counter() - started
+        finally:
+            sys.setrecursionlimit(limit)
+        out, err = capsys.readouterr()
+        assert code == 0 and not err
+        assert out.count(": secure") == 4
+        assert elapsed < 5.0
+
+    def test_chain_typing_is_too_deep(self, chain_path, capsys):
+        # typing still recurses over the term
+        assert main(["type", chain_path]) == 2
+        assert capsys.readouterr().err == \
+            "error: the input is nested too deeply for the checker\n"
 
     def test_long_ring_typing(self, tmp_path, capsys):
         n = 250
@@ -336,6 +369,45 @@ class TestErrors:
                 out = re.sub(r"((?:seconds|_s)\W+)[\d.e+-]+", r"\1", out)
                 seen.append((code, out, err))
             assert seen[0] == seen[1]
+
+
+class TestFaultsExitTwo:
+    """Exit 1 means insecure or untyped, so a fault must never give it."""
+
+    PROCEDURES = {
+        "dni": (security, "check_all"),
+        "type": (typesystem, "type_check"),
+        "lts": (cli, "build_lts"),
+        "reach": (cli, "reach_graph"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(PROCEDURES))
+    @pytest.mark.parametrize("error", [MemoryError, ValueError,
+                                       AssertionError])
+    def test_injected_error(self, command, error, insecure_path, capsys,
+                            monkeypatch):
+        def fail(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(*self.PROCEDURES[command], fail)
+        assert main([command, insecure_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        if error is MemoryError:
+            assert err == "error: out of memory\n"
+        else:
+            first, rest = err.split("\n", 1)
+            assert first == f"error: internal error: {error.__name__}: injected"
+            assert rest.startswith("Traceback (most recent call last):")
+            assert rest.endswith(f"{error.__name__}: injected\n")
+
+    def test_interrupt_is_not_caught(self, insecure_path, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(security, "check_all", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["dni", insecure_path])
 
 
 class TestRepeatedCalls:

@@ -7,14 +7,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfmcheck.net import build_net, lts_step
 from cfmcheck.syntax import (
-    NIL, TAU, Action, CategoryError, Const, Par, ParseError, Prefix, SpecError,
-    Sum, category, const_names, high, low, normalize_sum, parse_spec,
-    parse_term, restrict_syntactic, show, summands,
+    NIL, TAU, Action, CategoryError, Const, Nil, Par, ParseError, Prefix,
+    SpecError, Sum, category, const_names, high, low, normalize_sum,
+    parse_spec, parse_term, restrict_syntactic, show, summands,
 )
 from support import (
-    is_observationally_guarded, make_spec, random_guarded, random_spec,
-    rename_consts, sort,
+    is_observationally_guarded, make_spec, naive_category, naive_const_names,
+    naive_show, random_guarded, random_spec, random_unchecked, rename_consts,
+    sort, subterms,
 )
 
 
@@ -55,6 +57,106 @@ class TestAction:
         copied = pickle.loads(pickle.dumps(low("a")))
         assert copied == low("a") and type(copied) is Action
         assert copy.deepcopy(high("h")) == high("h")
+
+
+def oracle_place_names(spec):
+    """The net's place names as the recursive renderer gives them: every
+    sequential term a component of main can become, 0 left out."""
+    stack, seen = [spec.main], {}
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Par):
+            stack += (u.left, u.right)
+            continue
+        name = naive_show(u)
+        if name not in seen:
+            seen[name] = u
+            stack += (successor for _, successor in lts_step(u, spec))
+    return tuple(sorted(name for name, u in seen.items()
+                        if not isinstance(u, Nil)))
+
+
+class TestTerms:
+    """Terms are tuples that carry their rendering; the recursive walks in
+    support are the oracles for the rendering and the iterative walks."""
+
+    def test_show_matches_recursive_rendering(self):
+        rng = random.Random(7)
+        for _ in range(5000):
+            spec = random_spec(rng)
+            for root in (spec.main, *spec.defs.values()):
+                for u in subterms(root):
+                    assert show(u) == naive_show(u) == str(u)
+            assert build_net(spec).names == oracle_place_names(spec)
+
+    def test_category_and_constants_match_recursive_walks(self):
+        rng = random.Random(9)
+        for _ in range(3000):
+            t = random_unchecked(rng, rng.randint(1, 6))
+            assert const_names(t) == naive_const_names(t)
+            try:
+                expected = naive_category(t)
+            except CategoryError as error:
+                with pytest.raises(CategoryError) as caught:
+                    category(t)
+                assert str(caught.value) == str(error)
+            else:
+                assert category(t) == expected
+
+    def test_identity(self):
+        a, b = Prefix(low("a"), NIL), Prefix(low("b"), NIL)
+        assert Sum(a, b) != Par(a, b) and hash(Sum(a, b)) != hash(Par(a, b))
+        assert show(Prefix(low("a"), NIL)) == show(Prefix(high("a"), NIL))
+        assert Prefix(low("a"), NIL) != Prefix(high("a"), NIL)
+        assert Const("X") != Par(Const("X"), NIL) and Nil() == NIL
+        spec = spec_of("high h\nX := h.X + a.0\nmain := a.X | b.0")
+        one = parse_term("a.(h.X + b.0) | X", spec)
+        two = parse_term("a.(h.X + b.0) | X", spec)
+        assert one is not two and one == two and hash(one) == hash(two)
+        assert len({one, two, normalize_sum(one)}) == 2
+
+    def test_fields_and_patterns(self):
+        t = term_of("a.(b.0 + c.0) | D", "D := d.D\nmain := 0")
+        assert (show(t.left.body.left), t.right.name) == ("b.0", "D")
+        match t:
+            case Par(Prefix(action, Sum(left, _)), Const(name)):
+                assert (action, show(left), name) == (low("a"), "b.0", "D")
+            case _:
+                pytest.fail("the match patterns name the fields")
+        assert repr(t.left) == (
+            "Prefix(action=Action(level='low', name='a'), body=Sum("
+            "left=Prefix(action=Action(level='low', name='b'), body=Nil()), "
+            "right=Prefix(action=Action(level='low', name='c'), body=Nil())))")
+        assert repr(t.right) == "Const(name='D')" and repr(NIL) == "Nil()"
+
+    def test_immutable_and_copyable(self):
+        t = term_of("a.(b.0 + h.0) | (tau.0 | 0 + 0)")
+        with pytest.raises(AttributeError):
+            t.left = NIL
+        for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t),
+                       copy.copy(t)):
+            assert copied == t and show(copied) == show(t)
+            assert [type(u) for u in subterms(copied)] == \
+                [type(u) for u in subterms(t)]
+
+    def test_only_terms_render(self):
+        for bad in ("a.0", ("0",), None, low("a")):
+            with pytest.raises(TypeError):
+                show(bad)
+        with pytest.raises(TypeError):
+            Prefix(low("a"), "0")
+        with pytest.raises(TypeError):
+            Sum(NIL, ("0",))
+
+    def test_prefix_chain_without_recursion(self):
+        # parsing and validating walk in loops, not on the Python stack
+        depth = 5000
+        spec = spec_of("high h\nmain := " + "a.h." * (depth // 2) + "C\n"
+                       "C := a.0")
+        assert show(spec.main) == "a.h." * (depth // 2) + "C"
+        assert category(spec.main) == "guarded"
+        assert const_names(spec.main) == {"C"}
+        assert len(summands(spec.main)) == 1
 
 
 class TestParsing:

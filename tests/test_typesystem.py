@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cfmcheck import typesystem
 from cfmcheck.equiv import terms_equiv
 from cfmcheck.security import rooted_dni
 from cfmcheck.syntax import NIL, parse_spec, parse_term, restrict_syntactic, show
@@ -12,11 +13,28 @@ from cfmcheck.typesystem import (
     Derivation, TypingJudgment, decide_equational, derivation_lines,
     is_deadlock_place, judgment_lines, type_check,
 )
-from support import AXIOM_NAMES, axiom_instance, random_spec
+from support import (
+    AXIOM_NAMES, axiom_instance, naive_derivation_lines, random_spec,
+)
 
 
 def spec_of(text):
     return parse_spec(text)
+
+
+def secure_ring(n, branching):
+    """Ci := a.C(i+1), plus b.C(7i+3) when branching; C(n/2) := h.X + X
+    for its low body X."""
+    bodies = []
+    for i in range(n):
+        body = f"a.C{(i + 1) % n}"
+        if branching:
+            body += f" + b.C{(7 * i + 3) % n}"
+        if i == n // 2:
+            body = f"h.({body}) + {body}" if branching else f"h.{body} + {body}"
+        bodies.append(body)
+    return spec_of("high h\n" + "".join(
+        f"C{i} := {body}\n" for i, body in enumerate(bodies)) + "main := C0\n")
 
 
 class TestDeadlockPlaces:
@@ -126,6 +144,29 @@ class TestJudgmentContents:
         assert judgment_lines(good)
 
 
+class TestDerivationListing:
+    """derivation_lines walks with a stack; the recursive listing in
+    support is its oracle."""
+
+    def assert_listed(self, spec):
+        judgment = type_check(spec)
+        if judgment.typed:
+            for depth in (0, 1):
+                assert derivation_lines(judgment.derivation, depth) == \
+                    naive_derivation_lines(judgment.derivation, depth)
+        return judgment.typed
+
+    def test_random_specs(self):
+        rng = random.Random(7)
+        typed = sum(self.assert_listed(random_spec(rng)) for _ in range(5000))
+        assert typed > 1000
+
+    def test_secure_rings(self):
+        for n, branching in ((50, False), (100, False), (8, True), (12, True),
+                             (16, True)):
+            assert self.assert_listed(secure_ring(n, branching))
+
+
 class TestEquationalSideCheck:
     def test_reordering(self):
         spec = spec_of("high h\nmain := 0")
@@ -160,6 +201,28 @@ class TestEquationalSideCheck:
                 restricted_p, wider = restrict_syntactic(p, spec)
                 restricted_q, final = restrict_syntactic(q, wider)
                 assert terms_equiv(restricted_p, restricted_q, final, rooted=True)
+
+
+class TestSideConditionsDecidedOnce:
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_one_call_per_pair(self, n, monkeypatch):
+        spec = secure_ring(n, branching=True)
+        pairs = []
+
+        def counted(p, q, within):
+            pairs.append((show(p), show(q)))
+            return decide_equational(p, q, within)
+
+        monkeypatch.setattr(typesystem, "decide_equational", counted)
+        judgment = type_check(spec)
+        assert judgment.typed and pairs
+        assert len(pairs) == len(set(pairs))
+        # the side condition is decided per call, so each call starts afresh
+        lines = judgment_lines(judgment)
+        pairs.clear()
+        assert judgment_lines(type_check(spec)) == lines
+        assert len(pairs) == len(set(pairs))
+        assert lines[1:] == naive_derivation_lines(judgment.derivation, 1)
 
 
 class TestCharacterization:
