@@ -4,15 +4,17 @@ Exit codes: 0 when the requested property holds (secure, typed,
 equivalent) or the requested artifact was produced, 1 when the property
 fails, 2 on usage, parse or resource errors, including input nested too
 deeply for the checker, memory running out and a file that is not UTF-8
-text.  Any other exception is a fault of the checker: it prints
-`error: internal error: TYPE: message` and its traceback on stderr and
-exits 2 too, never 1.  `dni` exits 1 when any verdict is insecure, else
-2 when a capped check left its verdict inconclusive.
+text, and, silently, a reader that closes stdout early.  Any other
+exception is a fault of the checker: it prints `error: internal error:
+TYPE: message` and its traceback on stderr and exits 2 too, never 1.
+`dni` exits 1 when any verdict is insecure, else 2 when a capped check
+left its verdict inconclusive.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import equiv, security, typesystem
@@ -272,7 +274,15 @@ def main(argv=None) -> int:
     except SystemExit as stop:
         return 0 if stop.code in (0, None) else 2
     try:
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader went away: say nothing, and send what stdout still
+        # buffers to devnull so that its flush at exit cannot fail
+        with open(os.devnull, "w") as sink:
+            os.dup2(sink.fileno(), sys.stdout.fileno())
+        return 2
     except (SpecError, StateLimitError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

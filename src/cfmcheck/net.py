@@ -118,13 +118,8 @@ def dec(t: Term) -> Marking:
     term is itself one place.  The stuck choice 0 + 0 therefore keeps a
     token while 0 does not.
     """
-    match t:
-        case Nil():
-            return THETA
-        case Par(left, right):
-            return dec(left) + dec(right)
-        case _:
-            return Marking.of(show(t))
+    return Marking.of(*(show(leaf) for leaf in _leaves(t)
+                        if not isinstance(leaf, Nil)))
 
 
 def _leaves(term: Term) -> list:

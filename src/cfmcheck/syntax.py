@@ -243,15 +243,12 @@ class Spec:
     """A parsed specification: high alphabet, constant definitions, main term.
 
     Treated as immutable everywhere; derived specs are built with
-    dataclasses.replace.  restricted_names memoizes the constant
-    renaming performed by restrict_syntactic so repeated restrictions
-    reuse the same primed constants.
+    dataclasses.replace.
     """
 
     high_names: frozenset
     defs: dict
     main: Term
-    restricted_names: dict
 
     def body_of(self, name: str) -> Term:
         try:
@@ -303,11 +300,12 @@ def restrict_syntactic(t: Term, spec: Spec) -> tuple:
     vanishing, low and silent prefixes are kept, and each constant C is
     replaced by a primed companion C' defined by the restricted body.
     Returns the rewritten term together with a Spec extended with the
-    companion definitions; the renaming is memoized in the Spec so
-    later calls reuse it.
+    companion definitions.  Each call primes afresh, so terms that share
+    companions are restricted together, as p | q.  The checkers drop
+    high transitions from the net instead (net.restrict_net).
     """
     defs = dict(spec.defs)
-    memo = dict(spec.restricted_names)
+    memo = {}
 
     def fresh_name(name):
         candidate = name + "'"
@@ -337,7 +335,7 @@ def restrict_syntactic(t: Term, spec: Spec) -> tuple:
         raise TypeError(f"not a term: {u!r}")
 
     restricted = walk(t)
-    extended = Spec(spec.high_names, defs, spec.main, memo)
+    extended = Spec(spec.high_names, defs, spec.main)
     return restricted, extended
 
 
@@ -570,7 +568,7 @@ def parse_spec(text: str) -> Spec:
     if main is None:
         raise ParseError("specification has no main term", len(lines) + 1, 1)
 
-    spec = Spec(frozenset(high_names), defs, main, {})
+    spec = Spec(frozenset(high_names), defs, main)
     validate_spec(spec)
     return spec
 

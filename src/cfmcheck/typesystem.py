@@ -10,11 +10,12 @@ term is accepted whenever some rearrangement of its choices is.
 
 from dataclasses import dataclass, replace
 
-from .equiv import terms_equiv
-from .net import lts_step
+from .equiv import markings_equiv
+from .net import dec, lts_step
+from .security import _Analysis
 from .syntax import (
     NIL, PARALLEL, Const, Nil, Par, Prefix, Spec, Sum, Term, category,
-    normalize_sum, restrict_syntactic, show, summands, sum_of,
+    normalize_sum, show, summands, sum_of,
 )
 
 
@@ -56,12 +57,12 @@ def decide_equational(p: Term, q: Term, spec: Spec) -> bool:
     """Decide provable equality of the restrictions of p and q.
 
     The axioms are sound and complete for rooted team equivalence, so
-    instead of rewriting, this restricts both terms syntactically and
-    compares their decompositions inside one shared net.
+    instead of rewriting, this compares the decompositions of p and q by
+    the rooted classes of the net of p | q less its high transitions.
     """
-    rp, extended = restrict_syntactic(p, spec)
-    rq, extended = restrict_syntactic(q, extended)
-    return terms_equiv(rp, rq, extended, rooted=True)
+    analysis = _Analysis(spec.with_main(Par(p, q)))
+    m1, m2 = (analysis.net.intern_marking(dec(t)) for t in (p, q))
+    return markings_equiv(analysis.rooted, m1, m2)
 
 
 def type_check(spec: Spec, term: Term = None) -> TypingJudgment:
@@ -75,68 +76,79 @@ def type_check(spec: Spec, term: Term = None) -> TypingJudgment:
     side conditions on the pair of renderings.
     """
     target = spec.main if term is None else term
-    memo, normal, equal = {}, {}, {}
+    return _Typing(spec).check(target, frozenset())
 
-    def check(t, scanned) -> TypingJudgment:
+
+class _Typing:
+    """The memos of one type_check call and the rules that fill them."""
+
+    def __init__(self, spec: Spec):
+        self.spec = spec
+        self.memo, self.normal, self.equal = {}, {}, {}
+
+    def check(self, t, scanned) -> TypingJudgment:
         shown = show(t)
-        canon = normal.get(shown)
+        canon = self.normal.get(shown)
         if canon is None:
-            canon = normal[shown] = normalize_sum(t)
+            canon = self.normal[shown] = normalize_sum(t)
         key = (show(canon), scanned)
+        memo = self.memo
         if key not in memo:
             # a derivation may not take itself as a premise, so a
             # reentrant query reads as untypable while in progress
             memo[key] = TypingJudgment(canon, scanned, False, None,
                                        "circular typing dependency", canon)
-            memo[key] = judge(canon, scanned)
+            memo[key] = self.judge(canon, scanned)
         found = memo[key]
         if shown != key[0]:
             found = replace(found, term=t)
         return found
 
-    def equivalent(p, q) -> bool:
+    def equivalent(self, p, q) -> bool:
         key = (show(p), show(q))
-        if key not in equal:
-            equal[key] = decide_equational(p, q, spec)
-        return equal[key]
+        if key not in self.equal:
+            self.equal[key] = decide_equational(p, q, self.spec)
+        return self.equal[key]
 
-    def judge(t, scanned) -> TypingJudgment:
+    def judge(self, t, scanned) -> TypingJudgment:
+        check, spec = self.check, self.spec
         match t:
             case Nil():
-                return typed(t, scanned, "nil")
+                return _typed(t, scanned, "nil")
             case Par(left, right):
                 children = [check(left, scanned), check(right, scanned)]
-                return combine(t, scanned, "par", children)
+                return _combine(t, scanned, "par", children)
             case Const(name):
                 if name in scanned:
-                    return typed(t, scanned, "const-scanned")
+                    return _typed(t, scanned, "const-scanned")
                 child = check(spec.body_of(name), scanned | {name})
-                return combine(t, scanned, "const-def", [child])
+                return _combine(t, scanned, "const-def", [child])
             case Prefix(action, body):
                 if not action.is_high:
                     child = check(body, scanned)
-                    return combine(t, scanned, "prefix-low", [child])
+                    return _combine(t, scanned, "prefix-low", [child])
                 if is_deadlock_place(body, spec):
-                    return typed(t, scanned, "prefix-high-stuck")
+                    return _typed(t, scanned, "prefix-high-stuck")
                 starts = {a for a, _ in lts_step(body, spec)}
                 if starts and all(a.is_high for a in starts):
                     child = check(body, scanned)
-                    return combine(t, scanned, "prefix-high-high", [child])
-                return untyped(
+                    return _combine(t, scanned, "prefix-high-high", [child])
+                return _untyped(
                     t, scanned, t,
                     "a high prefix must lead to a stuck place or to "
                     "exclusively high behaviour")
             case Sum(_, _):
-                return judge_choice(t, scanned)
+                return self.judge_choice(t, scanned)
         raise TypeError(f"not a term: {t!r}")
 
-    def judge_choice(t, scanned) -> TypingJudgment:
+    def judge_choice(self, t, scanned) -> TypingJudgment:
+        check = self.check
         parts = summands(t)
         high_at = [i for i, part in enumerate(parts)
                    if isinstance(part, Prefix) and part.action.is_high]
         if not high_at:
             children = [check(part, scanned) for part in parts]
-            return combine(t, scanned, "choice-low", children)
+            return _combine(t, scanned, "choice-low", children)
 
         failures = []
         for i in high_at:
@@ -154,7 +166,7 @@ def type_check(spec: Spec, term: Term = None) -> TypingJudgment:
             if not kept.typed:
                 failures.append(f"{show(remainder)} is not typable")
                 continue
-            if not equivalent(picked.body, remainder):
+            if not self.equivalent(picked.body, remainder):
                 failures.append(
                     f"{show(picked.body)} and {show(remainder)} differ "
                     "once high actions are hidden")
@@ -164,34 +176,27 @@ def type_check(spec: Spec, term: Term = None) -> TypingJudgment:
                               (branch.derivation, kept.derivation))
             return TypingJudgment(t, scanned, True, node)
         detail = "; ".join(dict.fromkeys(failures)) or "no high branch to single out"
-        return untyped(t, scanned, t,
-                       f"no arrangement of this choice is typable: {detail}")
+        return _untyped(t, scanned, t,
+                        f"no arrangement of this choice is typable: {detail}")
 
-    def typed(t, scanned, rule, children=()) -> TypingJudgment:
-        return TypingJudgment(t, scanned, True,
-                              Derivation(rule, t, scanned, tuple(children)))
 
-    def combine(t, scanned, rule, children) -> TypingJudgment:
-        for child in children:
-            if not child.typed:
-                return TypingJudgment(t, scanned, False, None,
-                                      child.reason, child.failing)
-        node = Derivation(rule, t, scanned,
-                          tuple(child.derivation for child in children))
-        return TypingJudgment(t, scanned, True, node)
+def _typed(t, scanned, rule, children=()) -> TypingJudgment:
+    return TypingJudgment(t, scanned, True,
+                          Derivation(rule, t, scanned, tuple(children)))
 
-    def untyped(t, scanned, failing, reason) -> TypingJudgment:
-        return TypingJudgment(t, scanned, False, None, reason, failing)
 
-    # check, judge and judge_choice refer to each other, so the dicts sit
-    # in a reference cycle; emptying them frees the judgments on return
-    # instead of leaving them to the cyclic collector
-    try:
-        return check(target, frozenset())
-    finally:
-        memo.clear()
-        normal.clear()
-        equal.clear()
+def _combine(t, scanned, rule, children) -> TypingJudgment:
+    for child in children:
+        if not child.typed:
+            return TypingJudgment(t, scanned, False, None,
+                                  child.reason, child.failing)
+    node = Derivation(rule, t, scanned,
+                      tuple(child.derivation for child in children))
+    return TypingJudgment(t, scanned, True, node)
+
+
+def _untyped(t, scanned, failing, reason) -> TypingJudgment:
+    return TypingJudgment(t, scanned, False, None, reason, failing)
 
 
 def derivation_lines(d: Derivation, depth: int = 0) -> list:

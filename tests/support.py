@@ -30,7 +30,7 @@ from cfmcheck.syntax import (
 
 def make_spec(high_names=(), defs=None, main=NIL) -> Spec:
     """Assemble and validate a Spec from already-built terms."""
-    spec = Spec(frozenset(high_names), dict(defs or {}), main, {})
+    spec = Spec(frozenset(high_names), dict(defs or {}), main)
     validate_spec(spec)
     return spec
 

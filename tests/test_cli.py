@@ -1,11 +1,13 @@
 """Command line behaviour: exit codes, output formats, error handling."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -327,6 +329,32 @@ class TestErrors:
         assert out.count(": secure") == 4
         assert elapsed < 5.0
 
+    def test_wide_parallel_compiles(self, tmp_path, capsys):
+        # main's |-skeleton is decomposed in a loop
+        path = tmp_path / "wide.cfm"
+        path.write_text("main := " + " | ".join(["a.0"] * 10_000) + "\n")
+        assert main(["net", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "  a.0  [10000 tokens]\n" in out and not err
+
+    @pytest.mark.parametrize("leaf, secure", [("a.0", True),
+                                              ("h.0 + a.0", False)])
+    def test_wide_parallel_checks_under_default_recursion_limit(
+            self, tmp_path, capsys, leaf, secure):
+        path = tmp_path / "wide.cfm"
+        path.write_text("high h\nmain := " + " | ".join([leaf] * 2000) + "\n")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code = main(["dni", "--format", "json", str(path)])
+        finally:
+            sys.setrecursionlimit(limit)
+        out, err = capsys.readouterr()
+        assert code == (0 if secure else 1) and not err
+        verdicts = json.loads(out)
+        assert [v["method"] for v in verdicts] == list(security.DNI_METHODS)
+        assert {v["secure"] for v in verdicts} == {secure}
+
     def test_chain_typing_is_too_deep(self, chain_path, capsys):
         # typing still recurses over the term
         assert main(["type", chain_path]) == 2
@@ -408,6 +436,30 @@ class TestFaultsExitTwo:
         monkeypatch.setattr(security, "check_all", interrupt)
         with pytest.raises(KeyboardInterrupt):
             main(["dni", insecure_path])
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_is_quiet(self, tmp_path):
+        # four copies of a ten-constant ring: 10 000 states, far more
+        # output than a pipe holds
+        bodies = "".join(f"C{i} := a.C{(i + 1) % 10}\n" for i in range(10))
+        path = tmp_path / "copies.cfm"
+        path.write_text(bodies + "main := C0 | C0 | C0 | C0\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen(
+                [sys.executable, "-m", "cfmcheck.cli", "lts", str(path)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=env) as proc:
+            try:
+                assert proc.stdout.readline() == b"states (10000):\n"
+                proc.stdout.close()
+                code = proc.wait(timeout=60)
+                err = proc.stderr.read()
+            finally:
+                proc.kill()
+        assert (code, err) == (2, b"")
 
 
 class TestRepeatedCalls:

@@ -298,11 +298,12 @@ class TestRestriction:
             assert not any(a.is_high for a in sort(restricted, extended))
 
     def test_memo_reuse(self):
-        spec = spec_of("high h\nC := h.C + l.C\nmain := C | C")
-        first, extended = restrict_syntactic(spec.main, spec)
-        second, final = restrict_syntactic(Const("C"), extended)
-        assert show(second) == "C'"
-        assert final.defs["C'"] == extended.defs["C'"]
+        # every occurrence of C within one call shares one companion
+        spec = spec_of("high h\nC := h.C + l.C\nmain := C | l.C")
+        restricted, extended = restrict_syntactic(spec.main, spec)
+        assert show(restricted) == "C' | l.C'"
+        assert show(extended.defs["C'"]) == "0 + 0 + l.C'"
+        assert set(extended.defs) == {"C", "C'"}
 
     def test_idempotent_up_to_renaming(self):
         rng = random.Random(8)
@@ -310,19 +311,44 @@ class TestRestriction:
             spec = random_spec(rng)
             once, s1 = restrict_syntactic(spec.main, spec)
             twice, s2 = restrict_syntactic(once, s1)
-            renaming = {name: Const(s2.restricted_names[name])
-                        for name in s2.restricted_names}
+            # the second call primes the first call's companions afresh
+            primed_as = companion_names(once, twice, s1, s2)
+            assert len(set(primed_as.values())) == len(primed_as)
+            assert not set(primed_as.values()) & set(s1.defs)
+            renaming = {source: Const(primed)
+                        for source, primed in primed_as.items()}
             assert twice == rename_consts(once, renaming)
-            for source, primed in s2.restricted_names.items():
-                if source in s1.restricted_names.values():
-                    assert s2.defs[primed] == rename_consts(
-                        s1.defs[source], renaming)
+            for source, primed in primed_as.items():
+                assert s2.defs[primed] == rename_consts(s1.defs[source],
+                                                        renaming)
 
     def test_fresh_names_avoid_collisions(self):
         spec = spec_of("high h\nC := h.C\nC' := l.C'\nmain := C | C'")
         restricted, extended = restrict_syntactic(spec.main, spec)
-        assert extended.restricted_names["C"] == "C''"
         assert show(restricted) == "C'' | C'''"
+        assert show(extended.defs["C''"]) == "0 + 0"
+        assert show(extended.defs["C'''"]) == "l.C'''"
+
+
+def companion_names(a, b, spec_a, spec_b) -> dict:
+    """The name at the same position of b for each constant of a, and
+    of the bodies a reaches; a and b must agree everywhere else."""
+    names = {}
+    stack = [(a, b)]
+    while stack:
+        u, v = stack.pop()
+        assert type(u) is type(v)
+        if isinstance(u, Const):
+            if u.name not in names:
+                names[u.name] = v.name
+                stack.append((spec_a.defs[u.name], spec_b.defs[v.name]))
+            assert names[u.name] == v.name
+        elif isinstance(u, Prefix):
+            assert u.action == v.action
+            stack.append((u.body, v.body))
+        elif isinstance(u, (Sum, Par)):
+            stack += ((u.left, v.left), (u.right, v.right))
+    return names
 
 
 class TestObservationalGuardedness:

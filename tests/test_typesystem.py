@@ -8,18 +8,30 @@ import pytest
 from cfmcheck import typesystem
 from cfmcheck.equiv import terms_equiv
 from cfmcheck.security import rooted_dni
-from cfmcheck.syntax import NIL, parse_spec, parse_term, restrict_syntactic, show
+from cfmcheck.syntax import (
+    NIL, Par, parse_spec, parse_term, restrict_syntactic, show,
+)
 from cfmcheck.typesystem import (
-    Derivation, TypingJudgment, decide_equational, derivation_lines,
-    is_deadlock_place, judgment_lines, type_check,
+    decide_equational, derivation_lines, is_deadlock_place, judgment_lines,
+    type_check,
 )
 from support import (
     AXIOM_NAMES, axiom_instance, naive_derivation_lines, random_spec,
+    subterms,
 )
 
 
 def spec_of(text):
     return parse_spec(text)
+
+
+def syntactic_equational(p, q, spec):
+    """The side condition by its definition: restrict p | q syntactically
+    in one call, so both sides share their primed constants, and compare
+    the two sides up to rooted team equivalence."""
+    restricted, extended = restrict_syntactic(Par(p, q), spec)
+    return terms_equiv(restricted.left, restricted.right, extended,
+                       rooted=True)
 
 
 def secure_ring(n, branching):
@@ -198,9 +210,26 @@ class TestEquationalSideCheck:
         for name in AXIOM_NAMES:
             for _ in range(20):
                 p, q, spec = axiom_instance(rng, name)
-                restricted_p, wider = restrict_syntactic(p, spec)
-                restricted_q, final = restrict_syntactic(q, wider)
-                assert terms_equiv(restricted_p, restricted_q, final, rooted=True)
+                assert syntactic_equational(p, q, spec), (name, show(p), show(q))
+
+    def test_matches_syntactic_restriction(self):
+        # decided on the restricted net against the renamed copy: random
+        # subterm pairs of random specs, then axiom instances
+        rng = random.Random(7)
+        pairs = []
+        for _ in range(2000):
+            spec = random_spec(rng)
+            terms = [u for t in (spec.main, *spec.defs.values())
+                     for u in subterms(t)]
+            pairs += ((rng.choice(terms), rng.choice(terms), spec)
+                      for _ in range(5))
+        for name in AXIOM_NAMES:
+            pairs += (axiom_instance(rng, name) for _ in range(40))
+        assert len(pairs) >= 10_000
+        differ = [(show(p), show(q)) for p, q, spec in pairs
+                  if decide_equational(p, q, spec)
+                  != syntactic_equational(p, q, spec)]
+        assert not differ
 
 
 class TestSideConditionsDecidedOnce:
@@ -235,14 +264,10 @@ class TestCharacterization:
 
 
 class TestMemory:
-    def test_no_judgments_left_to_the_cyclic_collector(self):
-        # a secure branching ring: C6 := h.X + X, X its low body
-        n = 12
-        bodies = [f"a.C{(i + 1) % n} + b.C{(7 * i + 3) % n}" for i in range(n)]
-        bodies[n // 2] = f"h.({bodies[n // 2]}) + {bodies[n // 2]}"
-        spec = spec_of("high h\n" + "".join(
-            f"C{i} := {body}\n" for i, body in enumerate(bodies))
-            + "main := C0\n")
+    @staticmethod
+    def garbage_of(spec):
+        """Type spec with the collector off and return the objects it
+        leaves in reference cycles."""
         enabled, flags = gc.isenabled(), gc.get_debug()
         gc.collect()
         gc.disable()
@@ -250,11 +275,15 @@ class TestMemory:
         try:
             assert type_check(spec).typed
             gc.collect()
-            left = [obj for obj in gc.garbage
-                    if isinstance(obj, (TypingJudgment, Derivation))]
-            assert not left
+            return list(gc.garbage)
         finally:
             gc.set_debug(flags)
             gc.garbage.clear()
             if enabled:
                 gc.enable()
+
+    def test_no_judgments_left_to_the_cyclic_collector(self):
+        assert self.garbage_of(secure_ring(12, branching=True)) == []
+
+    def test_no_reference_cycles(self):
+        assert self.garbage_of(secure_ring(50, branching=False)) == []
