@@ -13,9 +13,9 @@ left its verdict inconclusive.
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import INFINITY, encode_basestring_ascii
 
 from . import equiv, security, typesystem
 from .net import (
@@ -35,8 +35,11 @@ _METHODS = {
 
 
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
         raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
     return value
 
@@ -101,6 +104,90 @@ def _load(args):
     return parse_spec(text.removeprefix("\ufeff"))
 
 
+def _json_text(value) -> str:
+    """What json.dumps(value) prints with an indent of 2, byte for byte,
+    for dicts with str keys, lists, tuples, strings, ints, floats,
+    booleans and None; TypeError on anything else.
+
+    json's pure-Python indenting encoder passes every chunk up through one
+    generator per level of nesting.  Here each separator and indent is
+    glued onto the value after it, so every scalar and every closing
+    bracket is one appended string, strings are escaped in C, and the
+    walk recurses once per level, as json does.
+    """
+    parts = []
+    _write_json(value, "", "\n", parts)
+    return "".join(parts)
+
+
+def _scalar_json(value) -> str:
+    """A scalar as json writes it, tested in json's order."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == INFINITY:
+            return "Infinity"
+        if value == -INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
+# the writers of the scalar types, by exact type, for the loops below
+_SCALAR_JSON = {str: encode_basestring_ascii, int: int.__repr__,
+                float: _scalar_json, bool: _scalar_json,
+                type(None): _scalar_json}
+
+
+def _write_json(value, prefix, newline, parts):
+    """Append value, led by prefix, at the level whose line breaks are
+    newline: a line feed and that level's indent.  The loops write the
+    scalars in a container themselves and call this for containers."""
+    if isinstance(value, dict):
+        if not value:
+            parts.append(prefix + "{}")
+            return
+        inner = newline + "  "
+        lead = prefix + "{" + inner
+        for key, item in value.items():
+            # a key that is not a str raises TypeError here
+            lead += encode_basestring_ascii(key) + ": "
+            write = _SCALAR_JSON.get(type(item))
+            if write is None:
+                _write_json(item, lead, inner, parts)
+            else:
+                parts.append(lead + write(item))
+            lead = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append(prefix + "[]")
+            return
+        inner = newline + "  "
+        lead = prefix + "[" + inner
+        for item in value:
+            write = _SCALAR_JSON.get(type(item))
+            if write is None:
+                _write_json(item, lead, inner, parts)
+            else:
+                parts.append(lead + write(item))
+            lead = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(prefix + _scalar_json(value))
+
+
 def _marking_json(m):
     return [[place, count] for place, count in m.items()]
 
@@ -109,7 +196,7 @@ def run_net(args) -> int:
     spec = _load(args)
     net = build_net(spec)
     if args.fmt == "json":
-        print(json.dumps(net_to_json(net), indent=2))
+        print(_json_text(net_to_json(net)))
     elif args.fmt == "dot":
         print(net_to_dot(net), end="")
     else:
@@ -129,12 +216,12 @@ def run_lts(args) -> int:
     spec = _load(args)
     lts = build_lts(spec, limit=args.max_states)
     if args.fmt == "json":
-        print(json.dumps({
-            "states": list(lts.names),
+        print(_json_text({
+            "states": lts.names,
             "edges": [{"from": src, "label": str(a), "to": dst}
                       for src, a, dst in lts.edges],
-            "roots": list(lts.roots),
-        }, indent=2))
+            "roots": lts.roots,
+        }))
     elif args.fmt == "dot":
         print(lts_to_dot(lts), end="")
     else:
@@ -152,11 +239,10 @@ def run_reach(args) -> int:
     spec = _load(args)
     net = build_net(spec)
     # the markings alone: keep no edge, name each flat key's places once
-    markings = [Marking.of(*(net.names[p] for p in key)) for key in
+    markings = [Marking._of_flat(key, net.names) for key in
                 reach_graph(net, args.max_states, keep=lambda t: False)[0]]
     if args.fmt == "json":
-        print(json.dumps({"markings": [_marking_json(m) for m in markings]},
-                         indent=2))
+        print(_json_text({"markings": [_marking_json(m) for m in markings]}))
     else:
         print(f"reachable markings ({len(markings)}):")
         for m in markings:
@@ -190,10 +276,10 @@ def run_equiv(args) -> int:
 
     kind = "rooted branching team" if args.rooted else "branching team"
     if args.fmt == "json":
-        print(json.dumps({
+        print(_json_text({
             "left": show(left), "right": show(right), "rooted": args.rooted,
             "equivalent": equal, "detail": detail,
-        }, indent=2))
+        }))
     else:
         verdict = "equivalent" if equal else "not equivalent"
         print(f"{show(left)} and {show(right)} are {verdict} ({kind})")
@@ -217,12 +303,12 @@ def run_dni(args) -> int:
     verdicts = security.check_all(spec, args.max_states, methods)
 
     if args.fmt == "json":
-        print(json.dumps([{
+        print(_json_text([{
             "method": v.method,
             "secure": v.secure,
             "witnesses": [_witness_json(w) for w in v.witnesses],
             "stats": v.stats,
-        } for v in verdicts], indent=2))
+        } for v in verdicts]))
     else:
         for v in verdicts:
             state = {True: "secure", False: "insecure",
@@ -254,7 +340,7 @@ def run_type(args) -> int:
     spec = _load(args)
     judgment = typesystem.type_check(spec)
     if args.fmt == "json":
-        print(json.dumps({
+        print(_json_text({
             "term": show(judgment.term),
             "typed": judgment.typed,
             "reason": judgment.reason,
@@ -262,7 +348,7 @@ def run_type(args) -> int:
             else show(judgment.failing),
             "derivation": None if judgment.derivation is None
             else _derivation_json(judgment.derivation),
-        }, indent=2))
+        }))
     else:
         sys.stdout.write("\n".join(typesystem.judgment_lines(judgment)) + "\n")
     return 0 if judgment.typed else 1

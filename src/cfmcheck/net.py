@@ -38,7 +38,7 @@ class Marking:
     its (place, count) pairs sorted by place with every count positive.
     Marking exploration does not build markings: it runs on flat keys,
     the sorted tuples of place indexes with one entry per token, such
-    as (0, 0, 3, 5), and Marking.of(*key) turns one into a marking.
+    as (0, 0, 3, 5), and Marking._of_flat turns one into a marking.
     """
 
     __slots__ = ("_counts", "_key")
@@ -57,6 +57,20 @@ class Marking:
     @classmethod
     def of(cls, *places):
         return cls((p, 1) for p in places)
+
+    @classmethod
+    def _of_flat(cls, key, names):
+        """The marking of a flat key whose indexes read as names[i].
+        Indexes sort as the names do, so counting in key order gives the
+        pairs sorted."""
+        counts = {}
+        for i in key:
+            place = names[i]
+            counts[place] = counts.get(place, 0) + 1
+        m = cls.__new__(cls)
+        m._counts = counts
+        m._key = tuple(counts.items())
+        return m
 
     @property
     def size(self):
@@ -287,7 +301,8 @@ def reach_graph(net: Net, limit: int = 10 ** 6, keep=None) -> tuple:
     keys, _, edges, steps = _explore([(start, start)], firings, limit, keep)
     if keep is not None:
         return keys, edges, steps
-    return [Marking.of(*key) for key in keys], edges
+    indexes = range(len(net.names))
+    return [Marking._of_flat(key, indexes) for key in keys], edges
 
 
 # ---------------------------------------------------------------------------

@@ -143,15 +143,19 @@ def dni_definitional(spec: Spec, limit: int = 10 ** 6,
     reached = time.perf_counter()
 
     classes = part.places_key
+    named = {}  # each offending transition by place names, once
     witnesses = []
     for source, t, target in edges:
         if classes(keys[source]) != classes(keys[target]):
             # the source marking by place name, less the token t consumes
             key = keys[source]
             i = key.index(t.pre)
-            context = Marking.of(*(net.names[p] for p in key[:i] + key[i + 1:]))
+            context = Marking._of_flat(key[:i] + key[i + 1:], net.names)
+            transition = named.get(t)
+            if transition is None:
+                transition = named[t] = _named_transition(net, t)
             witnesses.append(Witness(
-                _named_transition(net, t), context,
+                transition, context,
                 "the marking after this high step is observably different"))
     scanned = time.perf_counter()
     return Verdict.decide("definitional", witnesses, markings=len(keys),

@@ -1,7 +1,9 @@
 """Command line behaviour: exit codes, output formats, error handling."""
 
 import json
+import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -10,24 +12,28 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfmcheck import cli, security, typesystem
-from cfmcheck.cli import _parser, build_parser, main
-from cfmcheck.net import StateLimitError, build_lts, build_net, reach_graph
-from cfmcheck.syntax import parse_spec
-from support import term_lts
+from cfmcheck.cli import _json_text, _parser, build_parser, main
+from cfmcheck.net import (
+    StateLimitError, build_lts, build_net, components, reach_graph,
+)
+from cfmcheck.syntax import parse_spec, show
+from support import random_spec, term_lts
 
 SECURE = "high h\nC := h.l.C + l.C\nmain := C\n"
 INSECURE = "high h\nC := h.B\nB := l.B\nmain := C | B\n"
 
 
-def copies_path(tmp_path, high_body):
-    # twelve copies of a ten-constant ring: far more than 1000 markings
+def copies_path(tmp_path, high_body, k=12):
+    # by default twelve copies of a ten-constant ring: far more than 1000
+    # markings
     bodies = [f"a.C{(i + 1) % 10}" for i in range(10)]
     bodies[8] = high_body
     defs = "\n".join(f"C{i} := {body}" for i, body in enumerate(bodies))
     path = tmp_path / "copies.cfm"
-    path.write_text(f"high h\n{defs}\nmain := {' | '.join(['C0'] * 12)}\n")
+    path.write_text(f"high h\n{defs}\nmain := {' | '.join(['C0'] * k)}\n")
     return str(path)
 
 
@@ -274,6 +280,83 @@ class TestTypeCommand:
         assert data["derivation"]["rule"]
 
 
+# JSON values as cfmcheck prints them, and the corners of json's escaping
+# and number formats: lone surrogates, huge ints, -0.0, nan and infinities
+_json_strings = st.text(st.characters(exclude_categories=())
+                        | st.characters(categories=["Cs"])
+                        | st.sampled_from('"\\\x00\x1f\x7f'))
+_json_scalars = (
+    st.none() | st.booleans() | _json_strings
+    | st.integers() | st.integers(min_value=-10 ** 80, max_value=10 ** 80)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf]))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: (st.lists(children)
+                      | st.lists(children).map(tuple)
+                      | st.dictionaries(_json_strings, children)),
+    max_leaves=40)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_values)
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{1}, [1, {"a": {2}}], {"a": object()}])
+    def test_unserializable_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
+def _spec_text(spec):
+    lines = [f"high {', '.join(sorted(spec.high_names))}"] * bool(
+        spec.high_names)
+    lines += [f"{name} := {show(body)}" for name, body in spec.defs.items()]
+    return "\n".join(lines + [f"main := {show(spec.main)}"]) + "\n"
+
+
+class TestJsonOutput:
+    """Every --format json output is what json.dumps prints with an
+    indent of 2, checked against json itself: any drift in whitespace,
+    escaping or number format shows."""
+
+    def assert_json_outputs(self, path, equiv_terms, capsys):
+        argvs = [["net"], ["lts", "--max-states", "20000"],
+                 ["reach", "--max-states", "20000"],
+                 ["equiv", "--left", equiv_terms[0],
+                  "--right", equiv_terms[1]],
+                 ["type"], ["dni", "--sbndc"]]
+        for argv in argvs:
+            code = main(argv[:1] + ["--format", "json", path] + argv[1:])
+            out = capsys.readouterr().out
+            assert code in (0, 1), argv
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+    def test_random_specs(self, tmp_path, capsys):
+        rng = random.Random(20)
+        path = tmp_path / "spec.cfm"
+        for _ in range(200):
+            spec = random_spec(rng)
+            path.write_text(_spec_text(spec))
+            part = components(spec.main)
+            right = show(part[0]) if part else "0"
+            self.assert_json_outputs(str(path), (show(spec.main), right),
+                                     capsys)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_insecure_ring_copies(self, tmp_path, capsys, k):
+        path = copies_path(tmp_path, "h.C9", k)
+        self.assert_json_outputs(path, ("C0 | C8", "C8 | C0"), capsys)
+        main(["dni", "--format", "json", "--method", "def", path])
+        [verdict] = json.loads(capsys.readouterr().out)
+        # one witness per placing of the other k - 1 tokens on 10 places
+        assert len(verdict["witnesses"]) == math.comb(k + 8, k - 1)
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["net", "/nonexistent/spec.cfm"]) == 2
@@ -292,6 +375,14 @@ class TestErrors:
     def test_cap_must_be_positive(self, secure_path, capsys):
         assert main(["reach", "--max-states", "0", secure_path]) == 2
         assert "positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["dni", "lts", "reach"])
+    def test_cap_must_be_an_integer(self, command, secure_path, capsys):
+        assert main([command, "--max-states", "abc", secure_path]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "error: argument --max-states: abc is not a positive integer\n")
+        assert "_positive" not in err
 
     def test_cap_only_where_explored(self, secure_path, capsys):
         assert main(["type", "--max-states", "5", secure_path]) == 2
