@@ -10,9 +10,9 @@ from .equiv import (
     strong_partition, terms_equiv,
 )
 from .net import (
-    Lts, Marking, Net, StateLimitError, THETA, Transition, build_lts,
-    build_net, components, dec, lts_step, net_to_dot, net_to_json,
-    reach_graph, restrict_net,
+    Lts, Net, StateLimitError, Transition, build_lts, build_net,
+    components, dec, lts_step, marking_counts, net_to_dot, net_to_json,
+    reach_graph, restrict_net, show_marking,
 )
 from .security import (
     Verdict, Witness, check_all, dni_compositional, dni_definitional,

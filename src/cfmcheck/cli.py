@@ -19,8 +19,8 @@ from json.encoder import INFINITY, encode_basestring_ascii
 
 from . import equiv, security, typesystem
 from .net import (
-    Marking, StateLimitError, build_lts, build_net, dec, lts_to_dot,
-    net_to_dot, net_to_json, reach_graph,
+    StateLimitError, build_lts, build_net, dec, lts_to_dot, marking_counts,
+    net_to_dot, net_to_json, reach_graph, show_marking,
 )
 from .syntax import Par, SpecError, parse_spec, parse_term, show
 
@@ -188,10 +188,6 @@ def _write_json(value, prefix, newline, parts):
         parts.append(prefix + _scalar_json(value))
 
 
-def _marking_json(m):
-    return [[place, count] for place, count in m.items()]
-
-
 def run_net(args) -> int:
     spec = _load(args)
     net = build_net(spec)
@@ -201,8 +197,9 @@ def run_net(args) -> int:
         print(net_to_dot(net), end="")
     else:
         print(f"places ({len(net.names)}):")
+        initial = dict(marking_counts(net.initial))
         for i, name in enumerate(net.names):
-            tokens = net.initial.count(i)
+            tokens = initial.get(i, 0)
             mark = f"  [{tokens} token{'s' * (tokens > 1)}]" if tokens else ""
             print(f"  {name}{mark}")
         print(f"transitions ({len(net.transitions)}):")
@@ -238,15 +235,16 @@ def run_lts(args) -> int:
 def run_reach(args) -> int:
     spec = _load(args)
     net = build_net(spec)
-    # the markings alone: keep no edge, name each flat key's places once
-    markings = [Marking._of_flat(key, net.names) for key in
-                reach_graph(net, args.max_states, keep=lambda t: False)[0]]
+    # the markings alone: keep no edge
+    name = net.names.__getitem__
+    markings = [tuple(map(name, key)) for key in
+                reach_graph(net, lambda t: False, args.max_states)[0]]
     if args.fmt == "json":
-        print(_json_text({"markings": [_marking_json(m) for m in markings]}))
+        print(_json_text({"markings": list(map(marking_counts, markings))}))
     else:
         print(f"reachable markings ({len(markings)}):")
-        for m in markings:
-            print(f"  {m}")
+        for key in markings:
+            print(f"  {show_marking(key)}")
     return 0
 
 
@@ -258,18 +256,16 @@ def run_equiv(args) -> int:
     part = equiv.branching_bisim(union)
     if args.rooted:
         part = equiv.rooted_partition(union, part)
-    m1, m2 = dec(left), dec(right)
-    equal = equiv.markings_equiv(part, union.intern_marking(m1),
-                                 union.intern_marking(m2))
+    k1, k2 = (tuple(map(union.index.__getitem__, dec(t)))
+              for t in (left, right))
+    equal = equiv.markings_equiv(part, k1, k2)
 
     detail = ""
     if not equal:
-        if m1.size == 1 and m2.size == 1:
-            detail = equiv.explain_difference(
-                union, part,
-                union.index[m1.dom()[0]], union.index[m2.dom()[0]])
-        elif m1.size != m2.size:
-            detail = (f"the terms split into {m1.size} and {m2.size} "
+        if len(k1) == 1 and len(k2) == 1:
+            detail = equiv.explain_difference(union, part, k1[0], k2[0])
+        elif len(k1) != len(k2):
+            detail = (f"the terms split into {len(k1)} and {len(k2)} "
                       "sequential components")
         else:
             detail = "no pairing of their components is classwise equal"
@@ -292,7 +288,7 @@ def _witness_json(w: security.Witness) -> dict:
     pre, label, post = w.transition
     return {
         "transition": {"pre": pre, "label": label, "post": post},
-        "context": None if w.context is None else _marking_json(w.context),
+        "context": None if w.context is None else marking_counts(w.context),
         "reason": w.reason,
     }
 

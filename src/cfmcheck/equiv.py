@@ -14,7 +14,7 @@ observations it signs with explain a difference.
 
 from collections import defaultdict
 
-from .net import Marking, Net
+from .net import Net
 from .syntax import TAU, Par, Spec, Term, category
 
 
@@ -51,23 +51,13 @@ class Partition:
     def theta_class(self) -> int:
         return self._class_of[len(self.net.names)]
 
-    def class_of_place(self, place: int) -> int:
-        return self._class_of[place]
-
     def same_class(self, a: int, b: int) -> bool:
         return self._class_of[a] == self._class_of[b]
 
     def places_key(self, places) -> list:
         """Multiset of classes of places listed with repetition, such as
-        a flat marking key, as a sorted list."""
+        a marking key, as a sorted list."""
         return sorted(map(self._class_of.__getitem__, places))
-
-    def marking_key(self, m: Marking) -> tuple:
-        """Multiset of classes of m, as a sorted tuple with repetition."""
-        key = []
-        for place, count in m.items():
-            key.extend([self._class_of[place]] * count)
-        return tuple(sorted(key))
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
@@ -268,14 +258,15 @@ def rooted_partition(net: Net, part: Partition) -> Partition:
 # ---------------------------------------------------------------------------
 # markings
 
-def markings_equiv(part: Partition, m1: Marking, m2: Marking) -> bool:
-    """Team equivalence: equal multisets of place classes.
+def markings_equiv(part: Partition, k1: tuple, k2: tuple) -> bool:
+    """Team equivalence of two marking keys over the places of part's
+    net: equal multisets of place classes.
 
     This is the additive closure of the place equivalence: markings
     match when they pair off place by place into related ones, which
     for an equivalence is exactly class-multiset equality.
     """
-    return part.marking_key(m1) == part.marking_key(m2)
+    return part.places_key(k1) == part.places_key(k2)
 
 
 def terms_equiv(p: Term, q: Term, spec: Spec, rooted: bool = False) -> bool:
@@ -293,9 +284,8 @@ def terms_equiv(p: Term, q: Term, spec: Spec, rooted: bool = False) -> bool:
     part = branching_bisim(union)
     if rooted:
         part = rooted_partition(union, part)
-    m1 = union.intern_marking(dec(p))
-    m2 = union.intern_marking(dec(q))
-    return markings_equiv(part, m1, m2)
+    k1, k2 = (tuple(map(union.index.__getitem__, dec(t))) for t in (p, q))
+    return markings_equiv(part, k1, k2)
 
 
 # ---------------------------------------------------------------------------

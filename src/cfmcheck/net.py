@@ -4,9 +4,13 @@ Every transition consumes exactly one token from one place and produces
 at most one token in one place, so nets are bounded by the size of the
 initial marking and a sequential term always owns exactly one token.
 Places are identified by the canonical rendering of sequential terms.
+A marking is a key: the sorted tuple of its places, one entry per token,
+such as (0, 0, 3, 5) over place indexes or ("A", "A", "a.B") over place
+names.  Indexes follow the sorted order of names, so the two sort alike.
 """
 
 from bisect import bisect_left
+from itertools import groupby
 from typing import NamedTuple
 
 from .syntax import NIL, Action, Const, Nil, Par, Prefix, Spec, Sum, Term, show
@@ -29,111 +33,27 @@ class StateLimitError(RuntimeError):
 # ---------------------------------------------------------------------------
 # markings
 
-class Marking:
-    """An immutable finite multiset of places.
-
-    Places may be names or interned indexes; a marking never mixes the
-    two.  The empty marking doubles as the target of transitions whose
-    token disappears.  A marking is identified by its key, the tuple of
-    its (place, count) pairs sorted by place with every count positive.
-    Marking exploration does not build markings: it runs on flat keys,
-    the sorted tuples of place indexes with one entry per token, such
-    as (0, 0, 3, 5), and Marking._of_flat turns one into a marking.
-    """
-
-    __slots__ = ("_counts", "_key")
-
-    def __init__(self, entries=()):
-        counts = {}
-        items = entries.items() if isinstance(entries, dict) else entries
-        for place, count in items:
-            if count < 0:
-                raise ValueError("multiplicities are nonnegative")
-            if count:
-                counts[place] = counts.get(place, 0) + count
-        self._counts = counts
-        self._key = tuple(sorted(counts.items()))
-
-    @classmethod
-    def of(cls, *places):
-        return cls((p, 1) for p in places)
-
-    @classmethod
-    def _of_flat(cls, key, names):
-        """The marking of a flat key whose indexes read as names[i].
-        Indexes sort as the names do, so counting in key order gives the
-        pairs sorted."""
-        counts = {}
-        for i in key:
-            place = names[i]
-            counts[place] = counts.get(place, 0) + 1
-        m = cls.__new__(cls)
-        m._counts = counts
-        m._key = tuple(counts.items())
-        return m
-
-    @property
-    def size(self):
-        return sum(self._counts.values())
-
-    def dom(self):
-        return tuple(place for place, _ in self._key)
-
-    def items(self):
-        return self._key
-
-    def count(self, place):
-        return self._counts.get(place, 0)
-
-    __getitem__ = count
-
-    def __contains__(self, place):
-        return place in self._counts
-
-    def __iter__(self):
-        return iter(self._key)
-
-    def __bool__(self):
-        return bool(self._counts)
-
-    def __add__(self, other):
-        return Marking(list(self._key) + list(other._key))
-
-    def __sub__(self, other):
-        # truncated difference: counts never drop below zero
-        return Marking((p, c - other.count(p)) for p, c in self._key
-                       if c > other.count(p))
-
-    def __eq__(self, other):
-        return isinstance(other, Marking) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        if not self._counts:
-            return "Marking()"
-        inner = ", ".join(f"{p!r}: {c}" for p, c in self._key)
-        return f"Marking({{{inner}}})"
-
-    def __str__(self):
-        if not self._counts:
-            return "(empty)"
-        return " | ".join(p if c == 1 else f"{c}*{p}" for p, c in self._key)
-
-
-THETA = Marking()
-
-
-def dec(t: Term) -> Marking:
-    """Decompose a term into its marking of sequential components.
+def dec(t: Term) -> tuple:
+    """Decompose a term into its marking of sequential components: the
+    sorted tuple of their place names, one per token.
 
     0 contributes nothing, parallel composition adds up, and any other
     term is itself one place.  The stuck choice 0 + 0 therefore keeps a
     token while 0 does not.
     """
-    return Marking.of(*(show(leaf) for leaf in _leaves(t)
+    return tuple(sorted(show(leaf) for leaf in _leaves(t)
                         if not isinstance(leaf, Nil)))
+
+
+def marking_counts(key) -> list:
+    """The (place, count) pairs of a marking key, in key order."""
+    return [(place, len(list(run))) for place, run in groupby(key)]
+
+
+def show_marking(key) -> str:
+    """A marking key of place names as text, such as 2*p | q."""
+    return " | ".join(place if count == 1 else f"{count}*{place}"
+                      for place, count in marking_counts(key)) or "(empty)"
 
 
 def _leaves(term: Term) -> list:
@@ -177,7 +97,9 @@ class Net:
 
     Place indexes follow the sorted order of place names, transitions
     are sorted as well, so structurally equal nets compare and render
-    identically.  `labels` holds the actions of the transitions.
+    identically.  The initial places are given by name, with
+    repetition, and `initial` is their key of indexes.  `labels` holds
+    the actions of the transitions.
     """
 
     __slots__ = ("names", "index", "transitions", "initial", "labels", "_out")
@@ -192,10 +114,10 @@ class Net:
             interned.add(Transition(self.index[pre], label,
                                     None if post is None else self.index[post]))
         self.transitions = tuple(sorted(interned, key=_transition_key))
-        for place in initial.dom():
+        for place in initial:
             if place not in self.index:
                 raise ValueError(f"initial marking mentions an unknown place {place!r}")
-        self.initial = Marking((self.index[p], c) for p, c in initial.items())
+        self.initial = tuple(sorted(self.index[place] for place in initial))
         self.labels = frozenset(t.label for t in self.transitions)
         out = [[] for _ in self.names]
         for i, t in enumerate(self.transitions):
@@ -205,12 +127,6 @@ class Net:
     def out(self, place: int):
         """Transitions with the given input place."""
         return tuple(self.transitions[i] for i in self._out[place])
-
-    def name_marking(self, m: Marking) -> Marking:
-        return Marking((self.names[p], c) for p, c in m.items())
-
-    def intern_marking(self, m: Marking) -> Marking:
-        return Marking((self.index[p], c) for p, c in m.items())
 
     def __eq__(self, other):
         return (isinstance(other, Net)
@@ -223,7 +139,7 @@ class Net:
 
     def __repr__(self):
         return (f"Net({len(self.names)} places, {len(self.transitions)} transitions, "
-                f"{self.initial.size} tokens)")
+                f"{len(self.initial)} tokens)")
 
 
 def _explore(roots, moves, limit=None, keep=None) -> tuple:
@@ -264,20 +180,15 @@ def _explore(roots, moves, limit=None, keep=None) -> tuple:
     return keys, states, edges, steps
 
 
-def reach_graph(net: Net, limit: int = 10 ** 6, keep=None) -> tuple:
-    """Reachable markings plus the firing edges between them.
+def reach_graph(net: Net, keep, limit: int = 10 ** 6) -> tuple:
+    """Reachable markings plus the firing edges that keep accepts.
 
-    Returns (markings, edges) where markings are in breadth-first order
-    from the initial marking and edges hold (source index, transition,
-    target index).  The search runs on flat marking keys (see Marking):
-    firing t at a key drops one entry t.pre and bisects one entry t.post
-    back in, the tests' definition of firing without its intermediate
-    markings.  Each reached key becomes one Marking at the end.
-
-    With keep, a predicate on transitions, it returns (keys, edges,
-    steps) instead: the flat key of each reached marking in the same
-    order, only the edges whose transition keep accepts, and the number
-    of all edges.  No Marking is built then, and no other edge is kept.
+    Returns (keys, edges, steps): the key of each reachable marking in
+    breadth-first order from net.initial, the edges (source index,
+    transition, target index) whose transition the predicate keep
+    accepts, and the number of all edges.  Firing t at a key drops one
+    entry t.pre and bisects one entry t.post back in, the tests'
+    definition of firing without its intermediate markings.
     """
     outs = [net.out(place) for place in range(len(net.names))]
 
@@ -297,12 +208,9 @@ def reach_graph(net: Net, limit: int = 10 ** 6, keep=None) -> tuple:
                     after = rest[:j] + (post,) + rest[j:]
                     yield t, after, after
 
-    start = tuple(p for p, c in net.initial.items() for _ in range(c))
-    keys, _, edges, steps = _explore([(start, start)], firings, limit, keep)
-    if keep is not None:
-        return keys, edges, steps
-    indexes = range(len(net.names))
-    return [Marking._of_flat(key, indexes) for key in keys], edges
+    keys, _, edges, steps = _explore([(net.initial, net.initial)], firings,
+                                     limit, keep)
+    return keys, edges, steps
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +405,7 @@ def restrict_net(net: Net, high_names) -> Net:
         (names[t.pre], t.label, None if t.post is None else names[t.post])
         for t in net.transitions if str(t.label) not in blocked
     ]
-    return Net(names, transitions, net.name_marking(net.initial))
+    return Net(names, transitions, [names[i] for i in net.initial])
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +420,7 @@ def net_to_json(net: Net) -> dict:
             for t in net.transitions
         ],
         "initial": [
-            {"place": p, "count": c} for p, c in net.initial.items()
+            {"place": p, "count": c} for p, c in marking_counts(net.initial)
         ],
     }
 
@@ -524,8 +432,9 @@ def _dot_quote(text: str) -> str:
 def net_to_dot(net: Net) -> str:
     """GraphViz rendering: circles for places, boxes for transitions."""
     lines = ["digraph net {", "  rankdir=LR;"]
+    initial = dict(marking_counts(net.initial))
     for i, name in enumerate(net.names):
-        tokens = net.initial.count(i)
+        tokens = initial.get(i, 0)
         # \n is a DOT escape, so splice it in after quoting or it gets escaped
         label = _dot_quote(name)
         if tokens:

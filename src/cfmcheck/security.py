@@ -16,8 +16,8 @@ from .equiv import (
     Partition, branching_bisim, rooted_partition, strong_partition,
 )
 from .net import (
-    Marking, Net, StateLimitError, build_lts, build_net, components,
-    reach_graph, restrict_net,
+    Net, StateLimitError, build_lts, build_net, components, reach_graph,
+    restrict_net, show_marking,
 )
 from .syntax import Spec, show
 
@@ -27,16 +27,17 @@ class Witness:
     """One insecure high step.
 
     transition names the offending high transition by place names;
-    context gives the rest of the marking it fired in, when the check
-    explored markings at all.
+    context gives the rest of the marking it fired in, as a key of place
+    names, when the check explored markings at all.
     """
 
     transition: tuple
-    context: Marking | None
+    context: tuple | None
     reason: str
 
     def __str__(self):
-        where = f" in context {self.context}" if self.context else ""
+        where = (f" in context {show_marking(self.context)}"
+                 if self.context else "")
         pre, label, post = self.transition
         target = post if post is not None else "(empty)"
         return f"{pre} --{label}--> {target}{where}: {self.reason}"
@@ -130,8 +131,8 @@ def dni_definitional(spec: Spec, limit: int = 10 ** 6,
     """Enumerate every reachable marking and try every high step from it.
 
     Exact but exponential: the marking count explodes with parallel
-    width.  The exploration keeps the high edges only, between flat
-    marking keys, and each is checked by the class multisets of its two
+    width.  The exploration keeps the high edges only, between marking
+    keys, and each is checked by the class multisets of its two
     endpoints.  Raises StateLimitError beyond the configured cap, after
     the analysis holds the net and its partition.
     """
@@ -139,10 +140,11 @@ def dni_definitional(spec: Spec, limit: int = 10 ** 6,
     net, part = analysis.net, analysis.partition
     high = frozenset(t for t in net.transitions if t.label.is_high)
     started = time.perf_counter()
-    keys, edges, steps = reach_graph(net, limit=limit, keep=high.__contains__)
+    keys, edges, steps = reach_graph(net, high.__contains__, limit)
     reached = time.perf_counter()
 
     classes = part.places_key
+    name = net.names.__getitem__
     named = {}  # each offending transition by place names, once
     witnesses = []
     for source, t, target in edges:
@@ -150,7 +152,7 @@ def dni_definitional(spec: Spec, limit: int = 10 ** 6,
             # the source marking by place name, less the token t consumes
             key = keys[source]
             i = key.index(t.pre)
-            context = Marking._of_flat(key[:i] + key[i + 1:], net.names)
+            context = tuple(map(name, key[:i] + key[i + 1:]))
             transition = named.get(t)
             if transition is None:
                 transition = named[t] = _named_transition(net, t)

@@ -61,8 +61,9 @@ def decide_equational(p: Term, q: Term, spec: Spec) -> bool:
     the rooted classes of the net of p | q less its high transitions.
     """
     analysis = _Analysis(spec.with_main(Par(p, q)))
-    m1, m2 = (analysis.net.intern_marking(dec(t)) for t in (p, q))
-    return markings_equiv(analysis.rooted, m1, m2)
+    index = analysis.net.index
+    k1, k2 = (tuple(map(index.__getitem__, dec(t))) for t in (p, q))
+    return markings_equiv(analysis.rooted, k1, k2)
 
 
 def type_check(spec: Spec, term: Term = None) -> TypingJudgment:

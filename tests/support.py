@@ -1,9 +1,10 @@
-"""The definition of firing, literal branching-bisimulation oracles, the
-definitional check as it was before its edge filter, the term
-transition system explored on whole terms, the recursive term walks
-the package replaced (rendering, categories, constant names and
-derivation listings), and randomized nets, terms, specifications and
-axiom instances for the tests.
+"""The definition of firing on collections.Counter multisets, literal
+branching-bisimulation oracles, the definitional check as it was before
+its edge filter, the term transition system explored on whole terms,
+the recursive term walks the package replaced (rendering, categories,
+constant names and derivation listings), randomized nets, terms,
+specifications and axiom instances, and every spec of a small scope,
+for the tests.
 
 The oracles use only public engine names, so they check the refinement
 engine and the marking exploration independently.  Generators draw from a caller-supplied
@@ -12,11 +13,12 @@ law's side conditions by construction or by bounded resampling.
 """
 
 from bisect import bisect_left
+from collections import Counter
 
-from cfmcheck.equiv import Partition, branching_bisim
+from cfmcheck.equiv import Partition, branching_bisim, strong_partition
 from cfmcheck.net import (
-    THETA, Lts, Marking, Net, StateLimitError, Transition, build_net,
-    lts_step, restrict_net,
+    Lts, Net, StateLimitError, Transition, build_lts, build_net, dec,
+    lts_step, reach_graph, restrict_net,
 )
 from cfmcheck.security import Verdict, Witness
 from cfmcheck.syntax import (
@@ -208,11 +210,43 @@ class NotEnabledError(ValueError):
     """Firing was attempted for a transition without its input token."""
 
 
-def fire(net: Net, m: Marking, t: Transition) -> Marking:
-    """Fire t at m: consume the input token, produce the output token."""
-    if m.count(t.pre) < 1:
+def key_of(m: Counter) -> tuple:
+    """The marking key of a multiset of places."""
+    return tuple(sorted(m.elements()))
+
+
+def class_of(part: Partition, place: int) -> int:
+    return part.places_key([place])[0]
+
+
+def fire(net: Net, m: Counter, t: Transition) -> Counter:
+    """Fire t at the multiset of places m: consume the input token,
+    produce the output token."""
+    if m[t.pre] < 1:
         raise NotEnabledError(f"{net.names[t.pre]} holds no token")
-    return (m - Marking.of(t.pre)) + (THETA if t.post is None else Marking.of(t.post))
+    return m - Counter([t.pre]) + Counter([] if t.post is None else [t.post])
+
+
+def fired_reach_graph(net: Net, limit: int) -> tuple:
+    """The marking graph by the definition of firing: fire() at every
+    reached multiset, in breadth-first order, each interned by its key.
+    Returns (keys, edges) as reach_graph does with every edge kept, and
+    raises StateLimitError as it does."""
+    keys, markings, edges = [net.initial], [Counter(net.initial)], []
+    index = {net.initial: 0}
+    for cursor, m in enumerate(markings):
+        for place in sorted(m):
+            for t in net.out(place):
+                after = fire(net, m, t)
+                key = key_of(after)
+                if key not in index:
+                    if len(keys) >= limit:
+                        raise StateLimitError(limit, cursor)
+                    index[key] = len(keys)
+                    keys.append(key)
+                    markings.append(after)
+                edges.append((cursor, t, index[key]))
+    return keys, edges
 
 
 def silent_closure(net: Net, place: int) -> frozenset:
@@ -325,7 +359,7 @@ def is_branching_bisimulation(net: Net, part: Partition) -> bool:
 
 def pair_key_reach_graph(net: Net, limit: int) -> tuple:
     """The marking graph fired on sorted (place, count) keys, every edge
-    kept: (markings, edges) in breadth-first order.  Firing drops one
+    kept: (keys, edges) in breadth-first order.  Firing drops one
     count of t.pre and bisects t.post's count in.  Reaching more than
     limit markings raises StateLimitError with the number of markings
     fully expanded by then."""
@@ -346,7 +380,7 @@ def pair_key_reach_graph(net: Net, limit: int) -> tuple:
                 else:
                     yield t, rest[:j] + ((post, 1),) + rest[j:]
 
-    keys = [net.initial.items()]
+    keys = [tuple(sorted(Counter(net.initial).items()))]
     index = {keys[0]: 0}
     edges = []
     for cursor, key in enumerate(keys):
@@ -357,30 +391,54 @@ def pair_key_reach_graph(net: Net, limit: int) -> tuple:
                 index[after] = len(keys)
                 keys.append(after)
             edges.append((cursor, t, index[after]))
-    return [Marking(key) for key in keys], edges
+    return keys, edges
 
 
 def all_edges_definitional(spec: Spec, limit: int = 10 ** 6) -> Verdict:
-    """The definitional check over every marking as a Marking and every
-    edge: each high edge whose endpoints differ in their multisets of
-    restricted branching classes is a witness, its context the source
-    marking less the consumed token.  Stats: markings and steps."""
+    """The definitional check over every marking as a (place, count)
+    key and every edge: each high edge whose endpoints differ in their
+    multisets of restricted branching classes is a witness, its context
+    the source marking less the consumed token.  Stats: markings and
+    steps."""
     net = build_net(spec)
     part = branching_bisim(restrict_net(net, spec.high_names))
     markings, edges = pair_key_reach_graph(net, limit)
     names = net.names
+
+    def classes(pairs):
+        return sorted(class_of(part, p) for p, c in pairs for _ in range(c))
+
     witnesses = []
     for source, t, target in edges:
-        if (t.label.is_high and part.marking_key(markings[source])
-                != part.marking_key(markings[target])):
-            context = Marking((names[p], c - (p == t.pre))
-                              for p, c in markings[source].items())
+        if (t.label.is_high
+                and classes(markings[source]) != classes(markings[target])):
+            context = tuple(names[p] for p, c in markings[source]
+                            for _ in range(c - (p == t.pre)))
             witnesses.append(Witness(
                 (names[t.pre], str(t.label),
                  None if t.post is None else names[t.post]), context,
                 "the marking after this high step is observably different"))
     return Verdict.decide("definitional", witnesses, markings=len(markings),
                           steps=len(edges))
+
+
+def marking_graph_matches_lts(spec: Spec, limit: int) -> bool:
+    """Are the marking graph of spec's net and the transition system of
+    main strongly bisimilar, each term state to the marking of its
+    decomposition?  Raises StateLimitError past limit markings or
+    states."""
+    net = build_net(spec)
+    keys, marking_edges, _ = reach_graph(net, lambda t: True, limit)
+    lts = build_lts(spec, limit=limit)
+    offset = len(lts.states)
+    edges = list(lts.edges)
+    edges.extend((offset + a, t.label, offset + b)
+                 for a, t, b in marking_edges)
+    cls = strong_partition(offset + len(keys), edges)
+    marking = {key: offset + i for i, key in enumerate(keys)}
+    return all(cls[i] == cls[marking[tuple(map(net.index.__getitem__,
+                                                 dec(term)))]]
+               for i, term in enumerate(lts.states))
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +513,15 @@ def random_net(rng, max_places: int = 50, max_transitions: int = 120,
         post = None if rng.random() < vanish else rng.choice(names)
         transitions.add((pre, label, post))
     tokens = rng.randint(1, min(3, places))
-    initial = Marking((name, 1) for name in rng.sample(names, tokens))
-    return Net(names, transitions, initial)
+    return Net(names, transitions, rng.sample(names, tokens))
 
 
-def random_marking(rng, net: Net, max_tokens: int = 6) -> Marking:
-    """A random marking over the interned places of net."""
+def random_marking(rng, net: Net, max_tokens: int = 6) -> tuple:
+    """The key of a random marking over the interned places of net."""
     if not net.names:
-        return Marking()
+        return ()
     count = rng.randint(0, max_tokens)
-    return Marking((rng.randrange(len(net.names)), 1) for _ in range(count))
+    return tuple(sorted(rng.randrange(len(net.names)) for _ in range(count)))
 
 
 def _action(rng, p_tau, p_high):
@@ -541,6 +598,42 @@ def random_parallel(rng, depth: int = 3, max_width: int = 3) -> Term:
     """A random parallel term without constants."""
     return par_of(random_guarded(rng, depth)
                   for _ in range(rng.randint(1, max_width)))
+
+
+# ---------------------------------------------------------------------------
+# every spec of a small scope
+
+def guarded_terms(max_nodes: int, actions, consts) -> list:
+    """Every guarded term of at most max_nodes nodes over actions and
+    the constants named consts, 0 and each constant counting as one
+    node, smallest first."""
+    by_size = [[], [NIL]]
+    for size in range(2, max_nodes + 1):
+        bodies = by_size[size - 1] + (
+            [Const(name) for name in consts] if size == 2 else [])
+        terms = [Prefix(action, body) for action in actions for body in bodies]
+        terms += [Sum(left, right) for k in range(1, size - 1)
+                  for left in by_size[k] for right in by_size[size - 1 - k]]
+        by_size.append(terms)
+    return [t for terms in by_size for t in terms]
+
+
+def small_specs(max_nodes: int = 3):
+    """Every spec of the small scope: high h, constants A and B whose
+    bodies are guarded terms over a, h and tau of at most max_nodes
+    nodes, and main A, A | B or A | A.  Of two A | B specs that swapping
+    the names A and B turns into each other, only the first is made."""
+    a, b = Const("A"), Const("B")
+    bodies = guarded_terms(max_nodes, (low("a"), high("h"), TAU), "AB")
+    position = {body: i for i, body in enumerate(bodies)}
+    swapped = [position[rename_consts(body, {"A": b, "B": a})]
+               for body in bodies]
+    for main in (a, Par(a, b), Par(a, a)):
+        for i, body_a in enumerate(bodies):
+            for j, body_b in enumerate(bodies):
+                if main == Par(a, b) and (swapped[j], swapped[i]) < (i, j):
+                    continue
+                yield make_spec(["h"], {"A": body_a, "B": body_b}, main)
 
 
 # ---------------------------------------------------------------------------

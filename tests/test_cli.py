@@ -126,7 +126,8 @@ class TestLtsAndReach:
 
     @pytest.mark.parametrize("command,explore", [
         ("lts", lambda spec: build_lts(spec, limit=40)),
-        ("reach", lambda spec: reach_graph(build_net(spec), limit=40)),
+        ("reach", lambda spec: reach_graph(build_net(spec), lambda t: False,
+                                           limit=40)),
     ])
     def test_cap_names_states_and_progress(self, tmp_path, capsys, command,
                                            explore):

@@ -4,19 +4,20 @@ system, and serialization."""
 import gc
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from cfmcheck.net import (
-    THETA, Marking, Net, StateLimitError, Transition, _explore, build_lts,
-    build_net, dec, lts_step, net_to_dot, net_to_json, reach_graph,
-    restrict_net,
+    Net, StateLimitError, Transition, build_lts, build_net, dec, lts_step,
+    marking_counts, net_to_dot, net_to_json, reach_graph, restrict_net,
+    show_marking,
 )
 from cfmcheck.security import dni_structural, sbndc_interleaving
 from cfmcheck.syntax import NIL, high, low, parse_spec, parse_term, show
 from support import (
-    NotEnabledError, fire, random_marking, random_net, random_spec,
-    silent_closure, sort, term_lts,
+    NotEnabledError, fire, fired_reach_graph, key_of, marking_graph_matches_lts,
+    random_marking, random_net, random_spec, silent_closure, sort, term_lts,
 )
 
 
@@ -28,49 +29,46 @@ def term_of(text, spec_text="high h\nmain := 0"):
     return parse_term(text, parse_spec(spec_text))
 
 
-class TestMarking:
-    def test_multiset_algebra(self):
-        m = Marking.of("p", "q", "p")
-        assert m.size == 3
-        assert m["p"] == 2 and m["q"] == 1 and m["r"] == 0
-        assert (m + Marking.of("q")).count("q") == 2
-        assert (m - Marking.of("p")) == Marking.of("p", "q")
-        assert (Marking.of("p") - m) == THETA
-
-    def test_theta_is_empty(self):
-        assert THETA.size == 0
-        assert not THETA
-        assert list(THETA.dom()) == []
-        assert Marking.of() == THETA
-
-    def test_hashable(self):
-        assert {Marking.of("p", "q"), Marking.of("q", "p")} == {
-            Marking.of("p", "q")}
-
+class TestKeyRendering:
     def test_rendering(self):
-        assert str(THETA) == "(empty)"
-        assert str(Marking.of("q", "p", "p")) == "2*p | q"
+        assert show_marking(()) == "(empty)"
+        assert show_marking(("p", "p", "q")) == "2*p | q"
+
+    def test_counts(self):
+        assert marking_counts(()) == []
+        assert marking_counts(("p", "p", "q")) == [("p", 2), ("q", 1)]
+        assert marking_counts((0, 3, 3, 3, 5)) == [(0, 1), (3, 3), (5, 1)]
+
+    def test_counts_linear_in_tokens(self):
+        # many places, many tokens: no count may rescan the key per place
+        key = tuple(sorted(i % 10000 for i in range(100000)))
+        started = time.perf_counter()
+        counts = marking_counts(key)
+        elapsed = time.perf_counter() - started
+        assert counts == [(i, 10) for i in range(10000)]
+        assert elapsed < 1.0
 
 
 class TestDec:
     def test_sequential_is_singleton(self):
         t = term_of("a.0 + b.c.0")
-        assert dec(t) == Marking.of(show(t))
+        assert dec(t) == (show(t),)
 
     def test_nil_is_theta(self):
-        assert dec(NIL) == THETA
+        assert dec(NIL) == ()
 
     def test_parallel_splits(self):
         t = term_of("a.0 | (b.0 + c.0) | a.0 | 0")
-        assert dec(t) == Marking.of("a.0", "a.0", "b.0 + c.0")
+        assert dec(t) == ("a.0", "a.0", "b.0 + c.0")
 
     def test_two_copies_each(self):
         q1, q2 = term_of("a.b.0"), term_of("c.0 + d.0")
         t = term_of("a.b.0 | (c.0 + d.0) | a.b.0 | (c.0 + d.0)")
-        assert dec(t) == dec(q1) + dec(q1) + dec(q2) + dec(q2)
+        assert dec(t) == key_of(Counter(dec(q1)) + Counter(dec(q1))
+                                + Counter(dec(q2)) + Counter(dec(q2)))
 
     def test_stuck_choice_is_not_theta(self):
-        assert dec(term_of("0 + 0")) == Marking.of("0 + 0")
+        assert dec(term_of("0 + 0")) == ("0 + 0",)
 
 
 class TestBuildNet:
@@ -78,7 +76,7 @@ class TestBuildNet:
         net = build_net(spec_of("main := a.0"))
         assert net.names == ("a.0",)
         assert net.transitions == (Transition(0, low("a"), None),)
-        assert net.name_marking(net.initial) == Marking.of("a.0")
+        assert net.initial == (0,)
 
     def test_choice_shares_root(self):
         net = build_net(spec_of("high h\nmain := h.l.0 + l.0"))
@@ -95,11 +93,17 @@ class TestBuildNet:
         net = build_net(spec_of(
             "high h\nC := h.l.C + l.C\nB := l.B\nmain := C | B"))
         assert net.names == ("B", "C", "l.C")
-        assert net.initial == net.intern_marking(Marking.of("B", "C"))
+        assert net.initial == (0, 1)
         b, c, lc = 0, 1, 2
         assert set(net.transitions) == {
             Transition(c, high("h"), lc), Transition(c, low("l"), c),
             Transition(lc, low("l"), c), Transition(b, low("l"), b)}
+
+    def test_initial_places_by_name(self):
+        net = Net(["p", "q"], [("q", low("a"), "p")], ["q", "p", "q"])
+        assert net.initial == (0, 1, 1)
+        with pytest.raises(ValueError, match="unknown place 'r'"):
+            Net(["p", "q"], [], ["p", "r"])
 
     def test_chained_constants(self):
         net = build_net(spec_of("A := a.0\nB := b.A\nmain := B"))
@@ -110,7 +114,7 @@ class TestBuildNet:
     def test_parallel_components_union(self):
         spec = spec_of("main := a.0 | b.0")
         net = build_net(spec)
-        assert net.name_marking(net.initial) == Marking.of("a.0", "b.0")
+        assert [net.names[i] for i in net.initial] == ["a.0", "b.0"]
         assert len(net.transitions) == 2
 
     def test_unproduced_summand_roots_dropped(self):
@@ -123,7 +127,7 @@ class TestBuildNet:
         rng = random.Random(11)
         for _ in range(300):
             net = build_net(random_spec(rng))
-            seen = set(net.initial.dom())
+            seen = set(net.initial)
             frontier = list(seen)
             while frontier:
                 for t in net.out(frontier.pop()):
@@ -136,7 +140,7 @@ class TestBuildNet:
         spec = spec_of("high h\nC := h.l.C + l.C\nmain := C | C")
         net = build_net(spec, parse_term("l.C", spec))
         assert net.names == ("C", "l.C")
-        assert net.initial == net.intern_marking(Marking.of("l.C"))
+        assert net.initial == (net.index["l.C"],)
 
     def test_branching_ring_scales(self):
         # many paths lead to each constant: compiling must not depend on
@@ -166,44 +170,43 @@ class TestFiringAndReachability:
     def test_fire_moves_one_token(self):
         net = build_net(spec_of("main := a.b.0"))
         t = next(t for t in net.transitions if str(t.label) == "a")
-        after = fire(net, net.initial, t)
-        assert net.name_marking(after) == Marking.of("b.0")
+        after = fire(net, Counter(net.initial), t)
+        assert after == Counter([net.index["b.0"]])
 
     def test_fire_to_theta(self):
         net = build_net(spec_of("main := a.0"))
-        assert fire(net, net.initial, net.transitions[0]) == THETA
+        assert fire(net, Counter(net.initial), net.transitions[0]) == Counter()
 
     def test_fire_requires_token(self):
         net = build_net(spec_of("main := a.b.0"))
         t = next(t for t in net.transitions if str(t.label) == "b")
         with pytest.raises(NotEnabledError):
-            fire(net, net.initial, t)
+            fire(net, Counter(net.initial), t)
 
     def test_reach_counts(self):
         spec = spec_of("main := a.0 | a.0 | a.0")
-        assert len(reach_graph(build_net(spec))[0]) == 4
+        assert len(reach_graph(build_net(spec), ALL)[0]) == 4
 
     def test_reach_graph_edges(self):
         net = build_net(spec_of("main := a.b.0"))
-        markings, edges = reach_graph(net)
-        assert markings[0] == net.initial
-        assert len(markings) == 3 and len(edges) == 2
-        assert THETA in markings
+        keys, edges, steps = reach_graph(net, ALL)
+        assert keys[0] == net.initial
+        assert len(keys) == 3 and len(edges) == steps == 2
+        assert () in keys
 
     def test_state_limit(self):
         spec = spec_of("main := " + " | ".join(["a.b.c.0"] * 12))
         with pytest.raises(StateLimitError):
-            reach_graph(build_net(spec), limit=100)
+            reach_graph(build_net(spec), ALL, limit=100)
 
     def test_boundedness(self):
         rng = random.Random(13)
         for _ in range(150):
             spec = random_spec(rng)
             net = build_net(spec)
-            k = net.initial.size
-            for m in reach_graph(net, limit=5000)[0]:
-                assert m.size <= k
-                assert all(m[p] <= k for p in m.dom())
+            k = len(net.initial)
+            for key in reach_graph(net, ALL, limit=5000)[0]:
+                assert len(key) <= k
 
     def test_silent_closure(self):
         net = build_net(spec_of("main := tau.tau.a.0 + b.0"))
@@ -213,18 +216,9 @@ class TestFiringAndReachability:
         assert names == {"tau.tau.a.0 + b.0", "tau.a.0", "a.0"}
 
 
-def fired_reach_graph(net, limit):
-    """The marking graph by the definition of firing: fire() at every
-    Marking, interned by Marking.  reach_graph must match it exactly."""
-    def firings(m):
-        for place, _ in m.items():
-            for t in net.out(place):
-                after = fire(net, m, t)
-                yield t, after, after
-
-    markings, _, edges, _ = _explore([(net.initial, net.initial)], firings,
-                                     limit)
-    return markings, edges
+def ALL(t):
+    """Keep every edge."""
+    return True
 
 
 def capped(explore, net, limit):
@@ -237,16 +231,15 @@ def capped(explore, net, limit):
 class TestReachGraphAgainstFiring:
     def assert_same(self, net, limit=5000):
         expected = capped(fired_reach_graph, net, limit)
-        got = capped(reach_graph, net, limit)
+        got = capped(lambda net, limit: reach_graph(net, ALL, limit)[:2],
+                     net, limit)
         assert got == expected
         if got[0] == "capped":
             return 0
-        markings, edges = got
+        keys, edges = got
         for source, t, target in edges:
-            assert fire(net, markings[source], t) == markings[target]
-        for m in markings:
-            assert all(m.count(p) == c for p, c in m.items())
-        return len(markings)
+            assert key_of(fire(net, Counter(keys[source]), t)) == keys[target]
+        return len(keys)
 
     def test_random_specs(self):
         rng = random.Random(7)
@@ -262,32 +255,32 @@ class TestReachGraphAgainstFiring:
         for _ in range(300):
             net = random_net(rng, max_places=8, max_transitions=20)
             start = random_marking(rng, net, max_tokens=5)
-            repeated += any(c > 1 for _, c in start.items())
+            repeated += len(set(start)) < len(start)
             names = net.names
             net = Net(names,
                       [(names[t.pre], t.label,
                         None if t.post is None else names[t.post])
                        for t in net.transitions],
-                      net.name_marking(start))
+                      [names[i] for i in start])
             self.assert_same(net)
             # a tight cap: both explorations stop at the same state
             capped_draws += self.assert_same(net, limit=20) == 0
         assert repeated > 50 and capped_draws > 20
 
     def test_filtered_exploration(self):
-        # keep narrows the edges and nothing else: the same markings as
-        # flat keys, every edge still counted, only accepted edges kept
+        # keep narrows the edges and nothing else: the same markings,
+        # every edge still counted, only accepted edges kept
         rng = random.Random(9)
         kept_total = 0
         for _ in range(300):
             spec = random_spec(rng)
             net = build_net(spec)
-            markings, edges = reach_graph(net, limit=5000)
+            markings, edges, _ = reach_graph(net, ALL, limit=5000)
             accepted = frozenset(t for t in net.transitions
                                  if t.label.is_high)
-            keys, kept, steps = reach_graph(net, limit=5000,
-                                            keep=accepted.__contains__)
-            assert [Marking.of(*key) for key in keys] == markings
+            keys, kept, steps = reach_graph(net, accepted.__contains__,
+                                            limit=5000)
+            assert keys == markings
             assert all(list(key) == sorted(key) for key in keys)
             assert steps == len(edges)
             assert kept == [e for e in edges if e[1] in accepted]
@@ -302,7 +295,7 @@ class TestReachGraphAgainstFiring:
         lines.append("main := " + " | ".join(["C0"] * 8))
         net = build_net(spec_of("\n".join(lines)))
         started = time.perf_counter()
-        markings, edges = reach_graph(net)
+        markings, edges, _ = reach_graph(net, ALL)
         elapsed = time.perf_counter() - started
         print(f"8 ring copies: {len(markings)} markings, {len(edges)} edges "
               f"in {elapsed:.3f}s")
@@ -353,21 +346,11 @@ class TestLts:
             build_lts(spec, limit=50)
 
     def test_bisimilar_to_marking_graph(self):
-        from cfmcheck.equiv import strong_partition
         rng = random.Random(15)
         for _ in range(100):
             spec = random_spec(rng)
-            net = build_net(spec)
-            markings, medges = reach_graph(net, limit=20000)
+            assert marking_graph_matches_lts(spec, limit=20000)
             lts = build_lts(spec, limit=20000)
-            offset = len(lts.states)
-            midx = {m: i for i, m in enumerate(markings)}
-            edges = list(lts.edges)
-            edges.extend((offset + a, t.label, offset + b) for a, t, b in medges)
-            cls = strong_partition(offset + len(markings), edges)
-            for i, term in enumerate(lts.states):
-                j = midx[net.intern_marking(dec(term))]
-                assert cls[i] == cls[offset + j]
             assert len(set(lts.edges)) == len(lts.edges)
 
 

@@ -114,8 +114,9 @@ class TestWitnesses:
     def test_definitional_witness_has_context(self):
         spec = spec_of("high h\nC := h.B\nB := l.B\nmain := C | B")
         w = dni_definitional(spec).witnesses[0]
-        assert w.context is not None
-        assert "B" in str(w.context)
+        assert w.context == ("B",)
+        assert str(w) == ("C --h--> B in context B: the marking after this "
+                          "high step is observably different")
 
     def test_vanishing_witness_reason(self):
         spec = spec_of("high h\nmain := l.h.0")
@@ -282,10 +283,10 @@ def definitional_outcome(check, spec, limit):
 
 
 class TestDefinitionalAgainstAllEdges:
-    """dni_definitional keeps only the high edges between flat marking
-    keys; the check over every edge and every Marking must agree with it
-    on verdicts, witnesses with their contexts, markings, steps and the
-    capped explored count."""
+    """dni_definitional keeps only the high edges between marking keys;
+    the check over every edge, on (place, count) keys, must agree with
+    it on verdicts, witnesses with their contexts, markings, steps and
+    the capped explored count."""
 
     def assert_same(self, spec, limit):
         got = definitional_outcome(dni_definitional, spec, limit)
