@@ -10,7 +10,7 @@ names.  Indexes follow the sorted order of names, so the two sort alike.
 """
 
 from bisect import bisect_left
-from itertools import groupby
+from operator import add
 from typing import NamedTuple
 
 from .syntax import NIL, Action, Const, Nil, Par, Prefix, Spec, Sum, Term, show
@@ -41,13 +41,16 @@ def dec(t: Term) -> tuple:
     term is itself one place.  The stuck choice 0 + 0 therefore keeps a
     token while 0 does not.
     """
-    return tuple(sorted(show(leaf) for leaf in _leaves(t)
+    return tuple(sorted(show(leaf) for leaf in _skeleton(t)[0]
                         if not isinstance(leaf, Nil)))
 
 
 def marking_counts(key) -> list:
     """The (place, count) pairs of a marking key, in key order."""
-    return [(place, len(list(run))) for place, run in groupby(key)]
+    counts = {}
+    for place in key:
+        counts[place] = counts.get(place, 0) + 1
+    return list(counts.items())
 
 
 def show_marking(key) -> str:
@@ -56,24 +59,32 @@ def show_marking(key) -> str:
                       for place, count in marking_counts(key)) or "(empty)"
 
 
-def _leaves(term: Term) -> list:
+def _skeleton(term: Term) -> tuple:
     """The sequential leaves of a term's |-skeleton, left to right, 0
-    included."""
-    leaves = []
+    included, and the text after each leaf in the term's rendering: the
+    separator to the next leaf, such as " | " or " | (", and last the
+    closing parentheses, if any."""
+    leaves, after = [], []
     stack = [term]
     while stack:
         u = stack.pop()
-        if isinstance(u, Par):
-            stack += (u.right, u.left)
+        if isinstance(u, str):
+            after[-1].append(u)
+        elif isinstance(u, Par):
+            if isinstance(u.right, Par):
+                stack += (")", u.right, " | (", u.left)
+            else:
+                stack += (u.right, " | ", u.left)
         else:
             leaves.append(u)
-    return leaves
+            after.append([])
+    return leaves, ["".join(texts) for texts in after]
 
 
 def components(term: Term) -> list:
     """Distinct sequential components of a parallel term, sorted."""
     found = {}
-    for leaf in _leaves(term):
+    for leaf in _skeleton(term)[0]:
         if not isinstance(leaf, Nil):
             found.setdefault(show(leaf), leaf)
     return [found[name] for name in sorted(found)]
@@ -216,51 +227,41 @@ def reach_graph(net: Net, keep, limit: int = 10 ** 6) -> tuple:
 # ---------------------------------------------------------------------------
 # the term-level transition system
 
-def _plug(body: Term, context) -> Term:
-    """Put body in the hole of a Par context, the chain of (outer
-    context, hole on the left, sibling) triples ending in None."""
-    while context is not None:
-        context, left, sibling = context
-        body = Par(body, sibling) if left else Par(sibling, body)
-    return body
-
-
 def _steps(t: Term, spec: Spec) -> list:
-    """The distinct moves of t as (action, rendering, successor), each
-    successor rendered once, in depth-first order: left operands first,
-    constants unfolded."""
+    """The distinct moves of the sequential term t as (action, rendering,
+    successor), each successor rendered once, in depth-first order: left
+    summands first, constants unfolded."""
     seen = set()
     result = []
-    stack = [(t, None)]
+    stack = [t]
     while stack:
-        u, context = stack.pop()
+        u = stack.pop()
         match u:
             case Nil():
                 pass
             case Prefix(action, body):
-                successor = body if context is None else _plug(body, context)
-                key = show(successor)
+                key = show(body)
                 if (action, key) not in seen:
                     seen.add((action, key))
-                    result.append((action, key, successor))
+                    result.append((action, key, body))
             case Sum(left, right):
-                stack.append((right, context))
-                stack.append((left, context))
+                stack += (right, left)
             case Const(name):
-                stack.append((spec.body_of(name), context))
-            case Par(left, right):
-                stack.append((right, (context, False, left)))
-                stack.append((left, (context, True, right)))
+                stack.append(spec.body_of(name))
+            case Par():
+                raise ValueError(f"expected a sequential term, got {show(t)}")
             case _:
                 raise TypeError(f"not a term: {u!r}")
     return result
 
 
 def lts_step(t: Term, spec: Spec) -> list:
-    """One-step successors of t with their actions, deduplicated.
+    """One-step successors of the sequential term t with their actions,
+    deduplicated.
 
-    Choice offers the moves of both summands and disappears, parallel
-    composition interleaves, and a constant moves like its body.
+    Choice offers the moves of both summands and disappears, and a
+    constant moves like its body.  A parallel term raises ValueError:
+    its moves are those of its leaves, which build_lts interleaves.
     """
     return [(action, successor) for action, _, successor in _steps(t, spec)]
 
@@ -268,9 +269,9 @@ def lts_step(t: Term, spec: Spec) -> list:
 class Lts(NamedTuple):
     """An explicit labelled transition system.
 
-    states carries the underlying objects (terms here, but any values
-    work), names their renderings, edges triples of state indexes with
-    an action in the middle.
+    states carries the underlying objects (tuples of place indexes
+    here, but any values work), names the renderings of their terms,
+    edges triples of state indexes with an action in the middle.
     """
 
     states: tuple
@@ -280,13 +281,13 @@ class Lts(NamedTuple):
 
 
 def _place_table(spec: Spec, roots, limit=None) -> tuple:
-    """The sequential terms reachable from roots, as (names, terms,
-    edges): each place's rendering and term in discovery order, roots
-    first, and its moves as (place, action, place) triples, grouped by
-    source in _steps order.  limit caps the places as _explore does."""
-    names, terms, edges, _ = _explore([(show(q), q) for q in roots],
-                                      lambda t: _steps(t, spec), limit)
-    return names, terms, edges
+    """The sequential terms reachable from roots, as (names, edges):
+    each place's rendering in discovery order, roots first, and its
+    moves as (place, action, place) triples, grouped by source in
+    _steps order.  limit caps the places as _explore does."""
+    names, _, edges, _ = _explore([(show(q), q) for q in roots],
+                                  lambda t: _steps(t, spec), limit)
+    return names, edges
 
 
 def build_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
@@ -295,19 +296,21 @@ def build_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
     | never occurs under a prefix or in a choice, so every move of main
     moves exactly one leaf of main's fixed |-skeleton, and the system is
     the product of the leaves' place moves: a state is the tuple of its
-    leaves' places, and its moves are those of each leaf in turn, left
-    to right.  Two moves of different leaves reach the same state only
-    when both loop, so only looping actions are deduplicated per state.
-    States are rebuilt as terms from the skeleton, as the term moves
-    would give them, and named by their renderings.  A main that is one
-    leaf is its own place table.
+    leaves' places, as indexes into the place table, and its moves are
+    those of each leaf in turn, left to right.  Two moves of different
+    leaves reach the same state only when both loop, so only looping
+    actions are deduplicated per state.  A state is named by joining its
+    leaves' place names with the text between main's leaves, which is
+    the rendering of the term the moves of main reach.  A main that is
+    one leaf is its own place table, with a 1-tuple per place.
     """
     if not isinstance(spec.main, Par):
-        names, terms, edges = _place_table(spec, [spec.main], limit)
-        return Lts(tuple(terms), tuple(names), tuple(edges), (0,))
+        names, edges = _place_table(spec, [spec.main], limit)
+        return Lts(tuple((i,) for i in range(len(names))), tuple(names),
+                   tuple(edges), (0,))
 
-    leaves = _leaves(spec.main)
-    names, terms, edges = _place_table(spec, leaves)
+    leaves, after = _skeleton(spec.main)
+    names, edges = _place_table(spec, leaves)
     moves = [[] for _ in names]
     for source, action, target in edges:
         moves[source].append((action, target))
@@ -333,41 +336,11 @@ def build_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
 
     states, _, product_edges, _ = _explore([(start, start)], product_moves,
                                            limit)
-    state_terms = tuple(_par_terms(spec.main, terms, states))
-    return Lts(state_terms, tuple(map(show, state_terms)),
+    name = names.__getitem__
+    return Lts(tuple(states),
+               tuple("".join(map(add, map(name, state), after))
+                     for state in states),
                tuple(product_edges), (0,))
-
-
-def _par_terms(main: Par, terms, states):
-    """The term of each state: main's |-skeleton with the state's leaf
-    places in its leaves.  States share their inner Par nodes, each
-    built once with its rendering."""
-    # the skeleton in postfix order: True for a Par of the two terms on
-    # top of the stack, False for the next leaf
-    code, stack = [], [main]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Par):
-            stack += (True, u.right, u.left)
-        else:
-            code.append(u is True)
-    # inner nodes by the ids of their operands, which the nodes keep alive
-    inner = {}
-    for state in states:
-        built = []
-        leaf = 0
-        for is_par in code:
-            if is_par:
-                right = built.pop()
-                key = (id(built[-1]), id(right))
-                node = inner.get(key)
-                if node is None:
-                    node = inner[key] = Par(built[-1], right)
-                built[-1] = node
-            else:
-                built.append(terms[state[leaf]])
-                leaf += 1
-        yield built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +357,7 @@ def build_net(spec: Spec, term: Term = None) -> Net:
     term.
     """
     t = spec.main if term is None else term
-    names, _, edges = _place_table(spec, components(t))
+    names, edges = _place_table(spec, components(t))
     empty = show(NIL)
     return Net([name for name in names if name != empty],
                [(names[i], a, None if names[j] == empty else names[j])

@@ -14,8 +14,8 @@ from .equiv import markings_equiv
 from .net import dec, lts_step
 from .security import _Analysis
 from .syntax import (
-    NIL, PARALLEL, Const, Nil, Par, Prefix, Spec, Sum, Term, category,
-    normalize_sum, show, summands, sum_of,
+    NIL, Const, Nil, Par, Prefix, Spec, Sum, Term, normalize_sum, show,
+    summands, sum_of,
 )
 
 
@@ -44,13 +44,10 @@ def is_deadlock_place(t: Term, spec: Spec) -> bool:
 
     0 does not qualify: it decomposes to the empty marking instead of
     occupying a place.  Anything else sequential is one place, stuck
-    exactly when t has no move.
+    exactly when t has no move.  A parallel term raises ValueError, as
+    lts_step does.
     """
-    if isinstance(t, Nil):
-        return False
-    if category(t) == PARALLEL:
-        raise ValueError(f"expected a sequential term, got {show(t)}")
-    return not lts_step(t, spec)
+    return not isinstance(t, Nil) and not lts_step(t, spec)
 
 
 def decide_equational(p: Term, q: Term, spec: Spec) -> bool:

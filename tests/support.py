@@ -17,8 +17,8 @@ from collections import Counter
 
 from cfmcheck.equiv import Partition, branching_bisim, strong_partition
 from cfmcheck.net import (
-    Lts, Net, StateLimitError, Transition, build_lts, build_net, dec,
-    lts_step, reach_graph, restrict_net,
+    Lts, Net, StateLimitError, Transition, build_net, dec, lts_step,
+    reach_graph, restrict_net,
 )
 from cfmcheck.security import Verdict, Witness
 from cfmcheck.syntax import (
@@ -424,12 +424,12 @@ def all_edges_definitional(spec: Spec, limit: int = 10 ** 6) -> Verdict:
 
 def marking_graph_matches_lts(spec: Spec, limit: int) -> bool:
     """Are the marking graph of spec's net and the transition system of
-    main strongly bisimilar, each term state to the marking of its
-    decomposition?  Raises StateLimitError past limit markings or
-    states."""
+    main, explored on whole terms, strongly bisimilar, each term state to
+    the marking of its decomposition?  Raises StateLimitError past limit
+    markings or states."""
     net = build_net(spec)
     keys, marking_edges, _ = reach_graph(net, lambda t: True, limit)
-    lts = build_lts(spec, limit=limit)
+    lts = term_lts(spec, limit=limit)
     offset = len(lts.states)
     edges = list(lts.edges)
     edges.extend((offset + a, t.label, offset + b)
@@ -490,6 +490,17 @@ def term_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
                 states.append(successor)
             edges.append((cursor, action, index[key]))
     return Lts(tuple(states), tuple(names), tuple(edges), (0,))
+
+
+def lts_summary(explore, spec: Spec, limit: int) -> tuple:
+    """What build_lts and term_lts must agree on: the names, edges, roots
+    and number of states of explore(spec, limit), or ("capped",
+    explored) when the exploration hits its cap."""
+    try:
+        lts = explore(spec, limit)
+    except StateLimitError as error:
+        return "capped", error.explored
+    return lts.names, lts.edges, lts.roots, len(lts.states)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +575,15 @@ def par_of(parts) -> Term:
     for part in parts[1:]:
         term = Par(term, part)
     return term
+
+
+def bracketed(rng, parts) -> Term:
+    """The terms parts composed by | in order, under a random bracketing
+    such as p | (q | r) or (p | q) | (r | s)."""
+    if len(parts) == 1:
+        return parts[0]
+    k = rng.randint(1, len(parts) - 1)
+    return Par(bracketed(rng, parts[:k]), bracketed(rng, parts[k:]))
 
 
 def random_spec(rng, max_consts: int = 6, max_depth: int = 5,

@@ -16,8 +16,9 @@ from cfmcheck.net import (
 from cfmcheck.security import dni_structural, sbndc_interleaving
 from cfmcheck.syntax import NIL, high, low, parse_spec, parse_term, show
 from support import (
-    NotEnabledError, fire, fired_reach_graph, key_of, marking_graph_matches_lts,
-    random_marking, random_net, random_spec, silent_closure, sort, term_lts,
+    NotEnabledError, bracketed, fire, fired_reach_graph, key_of, lts_summary,
+    marking_graph_matches_lts, random_marking, random_net, random_parallel,
+    random_sequential, random_spec, silent_closure, sort, term_lts,
 )
 
 
@@ -334,11 +335,23 @@ class TestLts:
         steps = lts_step(spec.main, spec)
         assert {(str(a), show(t)) for a, t in steps} == {("h", "l.C"), ("l", "C")}
 
+    def test_parallel_term_rejected(self):
+        spec = spec_of("main := a.0 | b.0")
+        with pytest.raises(ValueError, match="expected a sequential term"):
+            lts_step(spec.main, spec)
+
     def test_parallel_interleaving(self):
         spec = spec_of("main := a.0 | b.0")
         lts = build_lts(spec)
-        assert len(lts.states) == 4
+        # places a.0, b.0 and 0, one index per leaf
+        assert lts.states == ((0, 1), (2, 1), (0, 2), (2, 2))
+        assert lts.names == ("a.0 | b.0", "0 | b.0", "a.0 | 0", "0 | 0")
         assert len(lts.edges) == 4
+
+    def test_one_leaf_states(self):
+        lts = build_lts(spec_of("main := a.b.0"))
+        assert lts.states == ((0,), (1,), (2,))
+        assert lts.names == ("a.b.0", "b.0", "0")
 
     def test_limit(self):
         spec = spec_of("main := " + " | ".join(["a.b.0"] * 8))
@@ -369,15 +382,28 @@ class TestLtsAgainstTerms:
     explores whole terms.  They must give the same system."""
 
     def assert_same(self, spec, limit=20000):
-        # states, names, edges and roots, or the explored count at the cap
-        expected = capped(term_lts, spec, limit)
-        assert capped(build_lts, spec, limit) == expected, show(spec.main)
+        expected = lts_summary(term_lts, spec, limit)
+        assert lts_summary(build_lts, spec, limit) == expected, show(spec.main)
 
     def test_random_specs(self):
         rng = random.Random(7)
         for _ in range(2000):
             spec = random_spec(rng)
             self.assert_same(spec)
+            self.assert_same(spec, limit=7)
+
+    def test_random_bracketings(self):
+        # random_spec nests | to the left only; any other bracketing puts
+        # other text between the leaves of main
+        rng = random.Random(22)
+        for _ in range(500):
+            spec = random_spec(rng, max_par=1)
+            consts = tuple(spec.defs)
+            parts = [random_parallel(rng, 2, 2) if rng.random() < 0.3 else
+                     random_sequential(rng, rng.randint(1, 4), consts)
+                     for _ in range(rng.randint(2, 5))]
+            spec = spec.with_main(bracketed(rng, parts))
+            self.assert_same(spec, limit=2000)
             self.assert_same(spec, limit=7)
 
     def test_ring_copies(self):
@@ -392,6 +418,8 @@ class TestLtsAgainstTerms:
         "main := 0 | 0",
         "main := (a.0 | b.0) | c.0",
         "main := a.0 | (b.0 | c.0)",
+        "main := (a.0 | b.0) | (c.0 | d.0)",
+        "main := a.0 | ((b.0 | c.0) | (d.0 | (e.0 | f.0)))",
         "X := a.X\nmain := X | X",
         "X := a.b.X + tau.X\nmain := X",
         "main := a.0 + a.0 | 0 | (b.a.0 | 0 + 0)",

@@ -1,7 +1,8 @@
-"""Criteria 3, 4 and 8, and the marking graph against the definition of
-firing, on every spec of the small scope (support.small_specs) at bound
-3.  Random draws rarely hit every combination of the small corner
-cases; the enumeration misses none up to its bound.
+"""Criteria 3, 4 and 8, the marking graph against the definition of
+firing, and build_lts against the LTS explored on whole terms, on every
+spec of the small scope (support.small_specs) at bound 3.  Random draws
+rarely hit every combination of the small corner cases; the enumeration
+misses none up to its bound.
 
 Run as a script for a larger bound, 4 by default:
 
@@ -14,14 +15,17 @@ It prints the number of specs and of disagreements per check, and exits
 import sys
 import time
 
-from cfmcheck.net import build_net, reach_graph
+from cfmcheck.net import build_lts, build_net, reach_graph
 from cfmcheck.security import check_all
 from cfmcheck.syntax import show
 from cfmcheck.typesystem import type_check
-from support import fired_reach_graph, marking_graph_matches_lts, small_specs
+from support import (
+    fired_reach_graph, lts_summary, marking_graph_matches_lts, small_specs,
+    term_lts,
+)
 
 LIMIT = 10 ** 4
-CHECKS = ("criterion 3", "criterion 4", "criterion 8", "firing")
+CHECKS = ("criterion 3", "criterion 4", "criterion 8", "firing", "lts")
 
 
 def disagreements(spec) -> list:
@@ -38,6 +42,9 @@ def disagreements(spec) -> list:
     if fired_reach_graph(net, LIMIT) != reach_graph(net, lambda t: True,
                                                     LIMIT)[:2]:
         failed.append("firing")
+    if lts_summary(build_lts, spec, LIMIT) != lts_summary(term_lts, spec,
+                                                          LIMIT):
+        failed.append("lts")
     return failed
 
 
