@@ -21,7 +21,7 @@ from .security import (
 from .syntax import (
     NIL, TAU, Action, CategoryError, Const, Nil, Par, ParseError, Prefix,
     Spec, SpecError, Sum, Term, category, high, low, normalize_sum,
-    parse_spec, parse_term, show, summands,
+    parse_spec, parse_term, show,
 )
 from .typesystem import (
     Derivation, TypingJudgment, decide_equational, is_deadlock_place,

@@ -71,10 +71,9 @@ def _skeleton(term: Term) -> tuple:
         if isinstance(u, str):
             after[-1].append(u)
         elif isinstance(u, Par):
-            if isinstance(u.right, Par):
-                stack += (")", u.right, " | (", u.left)
-            else:
-                stack += (u.right, " | ", u.left)
+            for v in reversed(u[1:-1]):
+                stack += (")", v, " | (") if isinstance(v, Par) else (v, " | ")
+            stack.append(u[0])
         else:
             leaves.append(u)
             after.append([])
@@ -244,8 +243,8 @@ def _steps(t: Term, spec: Spec) -> list:
                 if (action, key) not in seen:
                     seen.add((action, key))
                     result.append((action, key, body))
-            case Sum(left, right):
-                stack += (right, left)
+            case Sum(operands):
+                stack += reversed(operands)
             case Const(name):
                 stack.append(spec.body_of(name))
             case Par():
@@ -259,7 +258,7 @@ def lts_step(t: Term, spec: Spec) -> list:
     """One-step successors of the sequential term t with their actions,
     deduplicated.
 
-    Choice offers the moves of both summands and disappears, and a
+    Choice offers the moves of every summand and disappears, and a
     constant moves like its body.  A parallel term raises ValueError:
     its moves are those of its leaves, which build_lts interleaves.
     """

@@ -99,8 +99,8 @@ class Term(tuple):
     is then a field read, and terms hash and compare as tuples do,
     without Python code per call; the rendering keeps variants with the
     same fields apart (a + b against a | b).  A variant's __match_args__
-    names its fields, for match patterns and, as properties, for
-    attribute access.
+    names its fields, for match patterns and, as properties unless the
+    variant defines them, for attribute access.
     """
 
     __slots__ = ()
@@ -108,15 +108,16 @@ class Term(tuple):
 
     def __init_subclass__(cls):
         for i, field in enumerate(cls.__match_args__):
-            setattr(cls, field, property(itemgetter(i)))
+            if not hasattr(cls, field):
+                setattr(cls, field, property(itemgetter(i)))
 
     def __getnewargs__(self):
         # copy and pickle rebuild a term through __new__(*fields)
         return self[:-1]
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.__match_args__, self))
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
         return f"{type(self).__name__}({fields})"
 
     def __str__(self):
@@ -126,11 +127,12 @@ class Term(tuple):
 def show(t: Term) -> str:
     """Render t canonically; the result re-parses to an equal term.
 
-    Prefixing binds tightest, then +, then |; + and | associate to the
-    left, so parentheses appear only around right-nested operands and
-    around composite prefix bodies.  This rendering doubles as the
-    stable identity of net places, so it must stay injective on terms
-    (up to the levels of actions).  Terms carry it, so this is O(1).
+    Prefixing binds tightest, then +, then |; a run of + or | is one
+    node, so parentheses appear only around a later operand of the
+    run's own kind and around composite prefix bodies.  This rendering
+    doubles as the stable identity of net places, so it must stay
+    injective on terms (up to the levels of actions).  Terms carry it,
+    so this is O(1).
     """
     if isinstance(t, Term):
         return t[-1]
@@ -156,15 +158,35 @@ class Prefix(Term):
                                    f"{action[1] or TAU_NAME}.{inner}"))
 
 
-class Sum(Term):
-    __slots__ = ()
-    __match_args__ = ("left", "right")
+class _Run(Term):
+    """A run of one associative operator over two or more operands,
+    laid out as (op1, ..., opn, rendering).
 
-    def __new__(cls, left: Term, right: Term):
-        rhs = show(right)
-        if isinstance(right, Sum):
-            rhs = f"({rhs})"
-        return tuple.__new__(cls, (left, right, f"{show(left)} + {rhs}"))
+    A first operand of the run's own kind is spliced in, so Sum(Sum(a,
+    b), c) == Sum(a, b, c), as (a + b) + c and a + b + c parse alike; a
+    later one stays one operand in parentheses, so a + (b + c) stays a
+    distinct term.  The rendering is one join over the operands.
+    """
+
+    __slots__ = ()
+    __match_args__ = ("operands",)
+    operands = property(itemgetter(slice(None, -1)))
+
+    def __new__(cls, first, *rest):
+        if not rest:
+            raise TypeError(f"{cls.__name__} takes two or more operands")
+        if type(first) is cls:
+            operands, texts = first[:-1], [first[-1]]
+        else:
+            operands, texts = (first,), [show(first)]
+        for u in rest:
+            texts.append(f"({u[-1]})" if type(u) is cls else show(u))
+        return tuple.__new__(cls, (*operands, *rest, cls.joint.join(texts)))
+
+
+class Sum(_Run):
+    __slots__ = ()
+    joint = " + "
 
 
 class Const(Term):
@@ -175,15 +197,9 @@ class Const(Term):
         return tuple.__new__(cls, (name, name))
 
 
-class Par(Term):
+class Par(_Run):
     __slots__ = ()
-    __match_args__ = ("left", "right")
-
-    def __new__(cls, left: Term, right: Term):
-        rhs = show(right)
-        if isinstance(right, Par):
-            rhs = f"({rhs})"
-        return tuple.__new__(cls, (left, right, f"{show(left)} | {rhs}"))
+    joint = " | "
 
 
 NIL = Nil()
@@ -212,7 +228,7 @@ def category(t: Term) -> str:
             if isinstance(u, Prefix):
                 stack.append((u[1], u, False))
             else:
-                stack += ((u[1], u, False), (u[0], u, False))
+                stack += [(v, u, False) for v in u[-2::-1]]
             continue
         kind = _CATEGORY.get(type(u))
         if kind is None:
@@ -283,8 +299,8 @@ def const_names(t: Term) -> set:
             names.add(u[0])
         elif isinstance(u, Prefix):
             stack.append(u[1])
-        elif isinstance(u, (Sum, Par)):
-            stack += (u[0], u[1])
+        elif isinstance(u, _Run):
+            stack += u[:-1]
         elif not isinstance(u, Nil):
             raise TypeError(f"not a term: {u!r}")
     return names
@@ -321,10 +337,8 @@ def restrict_syntactic(t: Term, spec: Spec) -> tuple:
                 if action.is_high:
                     return Sum(NIL, NIL)
                 return Prefix(action, walk(body))
-            case Sum(left, right):
-                return Sum(walk(left), walk(right))
-            case Par(left, right):
-                return Par(walk(left), walk(right))
+            case Sum(operands) | Par(operands):
+                return type(u)(*map(walk, operands))
             case Const(name):
                 if name not in memo:
                     primed = fresh_name(name)
@@ -342,30 +356,6 @@ def restrict_syntactic(t: Term, spec: Spec) -> tuple:
 # ---------------------------------------------------------------------------
 # sums modulo associativity, commutativity, idempotence and unit
 
-def summands(t: Term) -> list:
-    """Flatten nested choice into the list of its summands, left to right."""
-    parts = []
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Sum):
-            stack += (u[1], u[0])
-        else:
-            parts.append(u)
-    return parts
-
-
-def sum_of(parts) -> Term:
-    """Rebuild a left-nested choice from a summand list; [] means 0 + 0."""
-    parts = list(parts)
-    if not parts:
-        return Sum(NIL, NIL)
-    term = parts[0]
-    for part in parts[1:]:
-        term = Sum(term, part)
-    return term
-
-
 def normalize_sum(t: Term) -> Term:
     """Canonical representative of t modulo choice laws, applied recursively.
 
@@ -382,18 +372,20 @@ def normalize_sum(t: Term) -> Term:
         case Prefix(action, body):
             inner = normalize_sum(body)
             return t if inner is body else Prefix(action, inner)
-        case Par(left, right):
-            lhs, rhs = normalize_sum(left), normalize_sum(right)
-            return t if lhs is left and rhs is right else Par(lhs, rhs)
-        case Sum(_, _):
-            parts = [normalize_sum(u) for u in summands(t)]
-            live = sorted({show(u): u for u in parts
-                           if not isinstance(u, Nil)}.items())
+        case Par(operands):
+            return Par(*map(normalize_sum, operands))
+        case Sum(operands):
+            live = {}
+            for u in map(normalize_sum, operands):
+                # a normal form's summands are normal forms and not sums
+                for v in u[:-1] if isinstance(u, Sum) else (u,):
+                    if not isinstance(v, Nil):
+                        live[show(v)] = v
             if not live:
                 return Sum(NIL, NIL)
             if len(live) == 1:
-                return live[0][1]
-            return sum_of(u for _, u in live)
+                return live.popitem()[1]
+            return Sum(*(live[key] for key in sorted(live)))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -454,43 +446,51 @@ class _Scanner:
 
 def _parse_term(scanner: _Scanner, high_names, known_consts) -> Term:
     """par := sum ('|' sum)* ; sum := prefix ('+' prefix)* ;
-    prefix := (action '.')* atom ; atom := '0' | CONST | '(' par ')'."""
-    term = _parse_sum(scanner, high_names, known_consts)
-    while scanner.try_take("|"):
-        term = Par(term, _parse_sum(scanner, high_names, known_consts))
-    return term
+    prefix := (action '.')* atom ; atom := '0' | CONST | '(' par ')'.
 
-
-def _parse_sum(scanner, high_names, known_consts) -> Term:
-    term = _parse_prefix(scanner, high_names, known_consts)
-    while scanner.try_take("+"):
-        term = Sum(term, _parse_prefix(scanner, high_names, known_consts))
-    return term
-
-
-def _parse_prefix(scanner, high_names, known_consts) -> Term:
-    """Read a.b.c.atom in a loop, then build the prefixes inside-out."""
-    actions = []
+    One loop over an explicit stack, so nesting costs no Python stack:
+    each open parenthesis saves the operands of the enclosing | and +
+    runs and the actions read before it, and each run becomes one node
+    when it ends."""
+    frames = []
+    pars, sums, actions = [], [], []
     while True:
         if scanner.try_take("0"):
             term = NIL
-            break
-        if scanner.try_take("("):
-            term = _parse_term(scanner, high_names, known_consts)
-            scanner.take(")")
-            break
-        column = scanner.pos + 1
-        name = scanner.ident()
-        if name[0].isupper():
+        elif scanner.try_take("("):
+            frames.append((pars, sums, actions))
+            pars, sums, actions = [], [], []
+            continue
+        else:
+            column = scanner.pos + 1
+            name = scanner.ident()
+            if not name[0].isupper():
+                # a lowercase name here must be an action prefix
+                actions.append(_action_of(scanner, high_names, name, column))
+                scanner.take(".")
+                continue
             known_consts.add(name)
             term = Const(name)
-            break
-        # a lowercase name here must be an action prefix
-        actions.append(_action_of(scanner, high_names, name, column))
-        scanner.take(".")
-    for action in reversed(actions):
-        term = Prefix(action, term)
-    return term
+        while True:  # the atom ends a prefix, then maybe runs and a group
+            for action in reversed(actions):
+                term = Prefix(action, term)
+            actions = []
+            if scanner.try_take("+"):
+                sums.append(term)
+                break
+            if sums:
+                term = Sum(*sums, term)
+                sums = []
+            if scanner.try_take("|"):
+                pars.append(term)
+                break
+            if pars:
+                term = Par(*pars, term)
+                pars = []
+            if not frames:
+                return term
+            scanner.take(")")
+            pars, sums, actions = frames.pop()
 
 
 def _action_of(scanner, high_names, name, column) -> Action:

@@ -15,7 +15,6 @@ from .net import dec, lts_step
 from .security import _Analysis
 from .syntax import (
     NIL, Const, Nil, Par, Prefix, Spec, Sum, Term, normalize_sum, show,
-    summands, sum_of,
 )
 
 
@@ -113,8 +112,8 @@ class _Typing:
         match t:
             case Nil():
                 return _typed(t, scanned, "nil")
-            case Par(left, right):
-                children = [check(left, scanned), check(right, scanned)]
+            case Par(operands):
+                children = [check(u, scanned) for u in operands]
                 return _combine(t, scanned, "par", children)
             case Const(name):
                 if name in scanned:
@@ -135,13 +134,13 @@ class _Typing:
                     t, scanned, t,
                     "a high prefix must lead to a stuck place or to "
                     "exclusively high behaviour")
-            case Sum(_, _):
+            case Sum():
                 return self.judge_choice(t, scanned)
         raise TypeError(f"not a term: {t!r}")
 
     def judge_choice(self, t, scanned) -> TypingJudgment:
         check = self.check
-        parts = summands(t)
+        parts = t.operands
         high_at = [i for i, part in enumerate(parts)
                    if isinstance(part, Prefix) and part.action.is_high]
         if not high_at:
@@ -155,7 +154,7 @@ class _Typing:
                 failures.append(f"{show(picked)} guards 0, which vanishes")
                 continue
             rest = parts[:i] + parts[i + 1:]
-            remainder = rest[0] if len(rest) == 1 else sum_of(rest)
+            remainder = rest[0] if len(rest) == 1 else Sum(*rest)
             branch = check(picked.body, scanned)
             if not branch.typed:
                 failures.append(f"{show(picked.body)} is not typable")

@@ -1,8 +1,8 @@
 """The definition of firing on collections.Counter multisets, literal
 branching-bisimulation oracles, the definitional check as it was before
 its edge filter, the term transition system explored on whole terms,
-the recursive term walks the package replaced (rendering, categories,
-constant names and derivation listings), randomized nets, terms,
+the recursive term walks the package replaced (parsing, rendering,
+categories, constant names and derivation listings), randomized nets, terms,
 specifications and axiom instances, and every spec of a small scope,
 for the tests.
 
@@ -23,7 +23,8 @@ from cfmcheck.net import (
 from cfmcheck.security import Verdict, Witness
 from cfmcheck.syntax import (
     GUARDED, NIL, PARALLEL, SEQUENTIAL, TAU, CategoryError, Const, Nil, Par,
-    Prefix, Spec, Sum, Term, const_names, high, low, show, validate_spec,
+    Prefix, Spec, Sum, Term, _action_of, const_names, high, low, show,
+    validate_spec,
 )
 
 
@@ -61,9 +62,9 @@ def sort(t: Term, spec: Spec) -> frozenset:
             case Prefix(action, body):
                 acts.add(action)
                 walk(body)
-            case Sum(left, right) | Par(left, right):
-                walk(left)
-                walk(right)
+            case Sum(operands) | Par(operands):
+                for v in operands:
+                    walk(v)
 
     walk(t)
     for name in reachable_consts(t, spec):
@@ -80,10 +81,8 @@ def rename_consts(t: Term, mapping: dict) -> Term:
             return mapping.get(name, t)
         case Prefix(action, body):
             return Prefix(action, rename_consts(body, mapping))
-        case Sum(left, right):
-            return Sum(rename_consts(left, mapping), rename_consts(right, mapping))
-        case Par(left, right):
-            return Par(rename_consts(left, mapping), rename_consts(right, mapping))
+        case Sum(operands) | Par(operands):
+            return type(t)(*(rename_consts(u, mapping) for u in operands))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -114,8 +113,54 @@ def is_observationally_guarded(name: str, spec: Spec) -> bool:
 # the recursive term walks, as oracles for the terms' cached renderings
 # and the package's iterative walks
 
+def naive_parse_term(scanner, high_names, known_consts) -> Term:
+    """par := sum ('|' sum)* ; sum := prefix ('+' prefix)* ;
+    prefix := (action '.')* atom ; atom := '0' | CONST | '(' par ')'.
+
+    The recursive-descent parser that syntax._parse_term replaced; it
+    builds every run from two operands at a time."""
+    term = _naive_parse_sum(scanner, high_names, known_consts)
+    while scanner.try_take("|"):
+        term = Par(term, _naive_parse_sum(scanner, high_names, known_consts))
+    return term
+
+
+def _naive_parse_sum(scanner, high_names, known_consts) -> Term:
+    term = _naive_parse_prefix(scanner, high_names, known_consts)
+    while scanner.try_take("+"):
+        term = Sum(term, _naive_parse_prefix(scanner, high_names, known_consts))
+    return term
+
+
+def _naive_parse_prefix(scanner, high_names, known_consts) -> Term:
+    """Read a.b.c.atom in a loop, then build the prefixes inside-out."""
+    actions = []
+    while True:
+        if scanner.try_take("0"):
+            term = NIL
+            break
+        if scanner.try_take("("):
+            term = naive_parse_term(scanner, high_names, known_consts)
+            scanner.take(")")
+            break
+        column = scanner.pos + 1
+        name = scanner.ident()
+        if name[0].isupper():
+            known_consts.add(name)
+            term = Const(name)
+            break
+        # a lowercase name here must be an action prefix
+        actions.append(_action_of(scanner, high_names, name, column))
+        scanner.take(".")
+    for action in reversed(actions):
+        term = Prefix(action, term)
+    return term
+
+
 def naive_show(t: Term) -> str:
-    """The canonical rendering, recomputed over the whole term."""
+    """The canonical rendering, recomputed over the whole term: a run
+    folds its operands pairwise by the binary rule, which parenthesizes
+    a right operand of the run's own kind."""
     match t:
         case Nil():
             return "0"
@@ -126,16 +171,15 @@ def naive_show(t: Term) -> str:
             if isinstance(body, (Sum, Par)):
                 inner = f"({inner})"
             return f"{action}.{inner}"
-        case Sum(left, right):
-            rhs = naive_show(right)
-            if isinstance(right, Sum):
-                rhs = f"({rhs})"
-            return f"{naive_show(left)} + {rhs}"
-        case Par(left, right):
-            rhs = naive_show(right)
-            if isinstance(right, Par):
-                rhs = f"({rhs})"
-            return f"{naive_show(left)} | {rhs}"
+        case Sum(operands) | Par(operands):
+            joint = " + " if isinstance(t, Sum) else " | "
+            text = naive_show(operands[0])
+            for right in operands[1:]:
+                rhs = naive_show(right)
+                if type(right) is type(t):
+                    rhs = f"({rhs})"
+                text = f"{text}{joint}{rhs}"
+            return text
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -151,8 +195,8 @@ def naive_category(t: Term) -> str:
                 raise CategoryError(
                     f"parallel composition under an action prefix: {show(t)}")
             return GUARDED
-        case Sum(left, right):
-            for side in (left, right):
+        case Sum(operands):
+            for side in operands:
                 kind = naive_category(side)
                 if kind == SEQUENTIAL:
                     raise CategoryError(
@@ -161,9 +205,9 @@ def naive_category(t: Term) -> str:
                     raise CategoryError(
                         f"parallel composition used as a summand in {show(t)}")
             return GUARDED
-        case Par(left, right):
-            naive_category(left)
-            naive_category(right)
+        case Par(operands):
+            for u in operands:
+                naive_category(u)
             return PARALLEL
     raise TypeError(f"not a term: {t!r}")
 
@@ -176,8 +220,8 @@ def naive_const_names(t: Term) -> set:
             return {name}
         case Prefix(_, body):
             return naive_const_names(body)
-        case Sum(left, right) | Par(left, right):
-            return naive_const_names(left) | naive_const_names(right)
+        case Sum(operands) | Par(operands):
+            return set().union(*map(naive_const_names, operands))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -199,7 +243,7 @@ def subterms(t: Term) -> list:
         if isinstance(u, Prefix):
             stack.append(u.body)
         elif isinstance(u, (Sum, Par)):
-            stack += (u.right, u.left)
+            stack += reversed(u.operands)
     return found
 
 
@@ -460,14 +504,15 @@ def term_moves(t: Term, spec: Spec) -> list:
                 if (action, key) not in seen:
                     seen.add((action, key))
                     result.append((action, key, successor))
-            case Sum(left, right):
-                walk(left, wrap)
-                walk(right, wrap)
+            case Sum(operands):
+                for v in operands:
+                    walk(v, wrap)
             case Const(name):
                 walk(spec.body_of(name), wrap)
-            case Par(left, right):
-                walk(left, lambda v: wrap(Par(v, right)))
-                walk(right, lambda v: wrap(Par(left, v)))
+            case Par(operands):
+                for i, v in enumerate(operands):
+                    walk(v, lambda w, i=i: wrap(
+                        Par(*operands[:i], w, *operands[i + 1:])))
 
     walk(t, lambda v: v)
     return result
@@ -567,23 +612,14 @@ def random_sequential(rng, depth: int, consts=(), **weights) -> Term:
     return random_guarded(rng, depth, consts, **weights)
 
 
-def par_of(parts) -> Term:
-    parts = list(parts)
-    if not parts:
-        return NIL
-    term = parts[0]
-    for part in parts[1:]:
-        term = Par(term, part)
-    return term
-
-
-def bracketed(rng, parts) -> Term:
-    """The terms parts composed by | in order, under a random bracketing
-    such as p | (q | r) or (p | q) | (r | s)."""
+def bracketed(rng, parts, kind=Par) -> Term:
+    """The terms parts composed by kind (| or +) in order, under a random
+    bracketing such as p | (q | r) or (p | q) | (r | s)."""
     if len(parts) == 1:
         return parts[0]
     k = rng.randint(1, len(parts) - 1)
-    return Par(bracketed(rng, parts[:k]), bracketed(rng, parts[k:]))
+    return kind(bracketed(rng, parts[:k], kind),
+                bracketed(rng, parts[k:], kind))
 
 
 def random_spec(rng, max_consts: int = 6, max_depth: int = 5,
@@ -594,9 +630,10 @@ def random_spec(rng, max_consts: int = 6, max_depth: int = 5,
                                  **weights)
             for name in names}
     width = rng.randint(1, max_par)
-    main = par_of(random_sequential(rng, rng.randint(1, max_depth), names,
-                                    **weights)
-                  for _ in range(width))
+    parts = [random_sequential(rng, rng.randint(1, max_depth), names,
+                               **weights)
+             for _ in range(width)]
+    main = Par(*parts) if width > 1 else parts[0]
     return make_spec(HIGH_NAMES, defs, main)
 
 
@@ -616,8 +653,9 @@ def random_unchecked(rng, depth: int, consts=("P0", "P1")) -> Term:
 
 def random_parallel(rng, depth: int = 3, max_width: int = 3) -> Term:
     """A random parallel term without constants."""
-    return par_of(random_guarded(rng, depth)
-                  for _ in range(rng.randint(1, max_width)))
+    parts = [random_guarded(rng, depth)
+             for _ in range(rng.randint(1, max_width))]
+    return Par(*parts) if len(parts) > 1 else parts[0]
 
 
 # ---------------------------------------------------------------------------

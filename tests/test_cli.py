@@ -390,13 +390,20 @@ class TestErrors:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_deep_prefix_chain(self, tmp_path, capsys):
-        # a bare chain a.a.….0 parses in a loop (test_chain_*); nesting
-        # each prefix in parentheses still recurses in the parser
+        # the parser keeps each open parenthesis on its own stack, so
+        # a.(a.(….0)) parses and checks at any depth
+        depth = 10_000
         path = tmp_path / "deep.cfm"
-        path.write_text("main := " + "a.(" * 1500 + "0" + ")" * 1500 + "\n")
-        assert main(["dni", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        path.write_text("main := " + "a.(" * depth + "0" + ")" * depth + "\n")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code = main(["dni", str(path)])
+        finally:
+            sys.setrecursionlimit(limit)
+        out, err = capsys.readouterr()
+        assert code == 0 and not err
+        assert out.count(": secure") == 4
 
     @pytest.fixture
     def chain_path(self, tmp_path):
@@ -446,6 +453,21 @@ class TestErrors:
         verdicts = json.loads(out)
         assert [v["method"] for v in verdicts] == list(security.DNI_METHODS)
         assert {v["secure"] for v in verdicts} == {secure}
+        # the run of | is one node, so typing takes one par step
+        sys.setrecursionlimit(1000)
+        try:
+            code = main(["type", "--format", "json", str(path)])
+        finally:
+            sys.setrecursionlimit(limit)
+        out, err = capsys.readouterr()
+        assert code == (0 if secure else 1) and not err
+        judgment = json.loads(out)
+        assert judgment["typed"] is secure
+        if secure:
+            root = judgment["derivation"]
+            assert root["rule"] == "par"
+            assert [c["rule"] for c in root["children"]] == \
+                ["prefix-low"] * 2000
 
     def test_chain_typing_is_too_deep(self, chain_path, capsys):
         # typing still recurses over the term

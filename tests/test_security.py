@@ -37,7 +37,7 @@ def ring_copies(k, high_body="h.C9"):
 
 def flatten(term):
     if isinstance(term, Par):
-        return flatten(term.left) + flatten(term.right)
+        return [leaf for u in term.operands for leaf in flatten(u)]
     return [term]
 
 
@@ -165,9 +165,7 @@ class TestProcedureRelations:
             spec = random_spec(rng)
             parts = flatten(spec.main)
             rng.shuffle(parts)
-            reordered = parts[0]
-            for part in parts[1:]:
-                reordered = Par(reordered, part)
+            reordered = Par(*parts) if len(parts) > 1 else parts[0]
             other = spec.with_main(reordered)
             assert dni_structural(spec).secure == dni_structural(other).secure
             assert (dni_compositional(spec).secure

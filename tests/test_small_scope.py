@@ -1,5 +1,6 @@
 """Criteria 3, 4 and 8, the marking graph against the definition of
-firing, and build_lts against the LTS explored on whole terms, on every
+firing, build_lts against the LTS explored on whole terms, and the
+rendering of every body and main re-parsing to the same term, on every
 spec of the small scope (support.small_specs) at bound 3.  Random draws
 rarely hit every combination of the small corner cases; the enumeration
 misses none up to its bound.
@@ -17,7 +18,7 @@ import time
 
 from cfmcheck.net import build_lts, build_net, reach_graph
 from cfmcheck.security import check_all
-from cfmcheck.syntax import show
+from cfmcheck.syntax import parse_term, show
 from cfmcheck.typesystem import type_check
 from support import (
     fired_reach_graph, lts_summary, marking_graph_matches_lts, small_specs,
@@ -25,7 +26,8 @@ from support import (
 )
 
 LIMIT = 10 ** 4
-CHECKS = ("criterion 3", "criterion 4", "criterion 8", "firing", "lts")
+CHECKS = ("criterion 3", "criterion 4", "criterion 8", "firing", "lts",
+          "show")
 
 
 def disagreements(spec) -> list:
@@ -45,6 +47,9 @@ def disagreements(spec) -> list:
     if lts_summary(build_lts, spec, LIMIT) != lts_summary(term_lts, spec,
                                                           LIMIT):
         failed.append("lts")
+    if any(parse_term(show(t), spec) != t
+           for t in (*spec.defs.values(), spec.main)):
+        failed.append("show")
     return failed
 
 

@@ -3,20 +3,23 @@
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfmcheck import syntax
 from cfmcheck.net import build_net, lts_step
 from cfmcheck.syntax import (
     NIL, TAU, Action, CategoryError, Const, Nil, Par, ParseError, Prefix,
     SpecError, Sum, category, const_names, high, low, normalize_sum,
-    parse_spec, parse_term, restrict_syntactic, show, summands,
+    parse_spec, parse_term, restrict_syntactic, show,
 )
 from support import (
-    is_observationally_guarded, make_spec, naive_category, naive_const_names,
-    naive_show, random_guarded, random_spec, random_unchecked, rename_consts,
-    sort, subterms,
+    bracketed, is_observationally_guarded, make_spec, naive_category,
+    naive_const_names, naive_parse_term, naive_show, random_guarded,
+    random_sequential, random_spec, random_unchecked, rename_consts, sort,
+    subterms,
 )
 
 
@@ -66,7 +69,7 @@ def oracle_place_names(spec):
     while stack:
         u = stack.pop()
         if isinstance(u, Par):
-            stack += (u.left, u.right)
+            stack += u.operands
             continue
         name = naive_show(u)
         if name not in seen:
@@ -117,22 +120,23 @@ class TestTerms:
 
     def test_fields_and_patterns(self):
         t = term_of("a.(b.0 + c.0) | D", "D := d.D\nmain := 0")
-        assert (show(t.left.body.left), t.right.name) == ("b.0", "D")
+        left, right = t.operands
+        assert (show(left.body.operands[0]), right.name) == ("b.0", "D")
         match t:
-            case Par(Prefix(action, Sum(left, _)), Const(name)):
-                assert (action, show(left), name) == (low("a"), "b.0", "D")
+            case Par([Prefix(action, Sum([first, *_])), Const(name)]):
+                assert (action, show(first), name) == (low("a"), "b.0", "D")
             case _:
                 pytest.fail("the match patterns name the fields")
-        assert repr(t.left) == (
-            "Prefix(action=Action(level='low', name='a'), body=Sum("
-            "left=Prefix(action=Action(level='low', name='b'), body=Nil()), "
-            "right=Prefix(action=Action(level='low', name='c'), body=Nil())))")
-        assert repr(t.right) == "Const(name='D')" and repr(NIL) == "Nil()"
+        assert repr(left) == (
+            "Prefix(action=Action(level='low', name='a'), body=Sum(operands=("
+            "Prefix(action=Action(level='low', name='b'), body=Nil()), "
+            "Prefix(action=Action(level='low', name='c'), body=Nil()))))")
+        assert repr(right) == "Const(name='D')" and repr(NIL) == "Nil()"
 
     def test_immutable_and_copyable(self):
         t = term_of("a.(b.0 + h.0) | (tau.0 | 0 + 0)")
         with pytest.raises(AttributeError):
-            t.left = NIL
+            t.operands = (NIL, NIL)
         for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t),
                        copy.copy(t)):
             assert copied == t and show(copied) == show(t)
@@ -147,6 +151,9 @@ class TestTerms:
             Prefix(low("a"), "0")
         with pytest.raises(TypeError):
             Sum(NIL, ("0",))
+        for run in (Sum, Par):
+            with pytest.raises(TypeError):
+                run(NIL)
 
     def test_prefix_chain_without_recursion(self):
         # parsing and validating walk in loops, not on the Python stack
@@ -156,7 +163,23 @@ class TestTerms:
         assert show(spec.main) == "a.h." * (depth // 2) + "C"
         assert category(spec.main) == "guarded"
         assert const_names(spec.main) == {"C"}
-        assert len(summands(spec.main)) == 1
+
+    def test_runs_retain_linear_memory(self):
+        # a run of + or | is one node with one rendering, so what a
+        # parsed flat choice or wide parallel keeps is linear in its width
+        for joint in (" + ", " | "):
+            retained = []
+            for width in (10_000, 20_000):
+                text = "main := " + joint.join(["a.0"] * width)
+                tracemalloc.start()
+                try:
+                    spec = parse_spec(text)
+                    retained.append(tracemalloc.get_traced_memory()[0])
+                finally:
+                    tracemalloc.stop()
+                assert len(spec.main.operands) == width
+            assert retained[0] < 5 * 2 ** 20, retained
+            assert retained[1] <= 2.5 * retained[0], retained
 
 
 class TestParsing:
@@ -171,15 +194,18 @@ class TestParsing:
         assert isinstance(t.body, Sum)
 
     def test_left_associativity(self):
-        t = term_of("a.0 + b.0 + c.0")
-        assert isinstance(t.left, Sum)
-        u = term_of("a.0 | b.0 | c.0")
-        assert isinstance(u.left, Par)
+        # a run is one node; a group that opens it is spliced in
+        a, b, c = (Prefix(low(name), NIL) for name in "abc")
+        for run, op in ((Sum, "+"), (Par, "|")):
+            t = term_of(f"a.0 {op} b.0 {op} c.0")
+            assert t.operands == (a, b, c) and show(t) == f"a.0 {op} b.0 {op} c.0"
+            assert t == run(run(a, b), c) == term_of(f"(a.0 {op} b.0) {op} c.0")
 
     def test_right_nesting_needs_parens(self):
         t = term_of("a.0 + (b.0 + c.0)")
-        assert isinstance(t.right, Sum)
+        assert len(t.operands) == 2 and isinstance(t.operands[1], Sum)
         assert show(t) == "a.0 + (b.0 + c.0)"
+        assert t != term_of("a.0 + b.0 + c.0")
 
     def test_high_declaration(self):
         spec = spec_of("high h, k\nmain := h.k.0")
@@ -230,6 +256,78 @@ class TestParsing:
     def test_undefined_constant(self):
         with pytest.raises(SpecError):
             parse_spec("main := B")
+
+
+def parse_outcome(text, spec):
+    """parse_term's term, or the type and text of the error it raises."""
+    try:
+        return parse_term(text, spec)
+    except SpecError as error:
+        return type(error), str(error)
+
+
+class TestParserAgainstRecursiveDescent:
+    """The loop parser against the recursive-descent parser it replaced
+    (support.naive_parse_term): equal terms, and equal errors with equal
+    coordinates, on renderings, bracketings and their mutations."""
+
+    def assert_same(self, text, spec, monkeypatch):
+        found = parse_outcome(text, spec)
+        with monkeypatch.context() as patched:
+            patched.setattr(syntax, "_parse_term", naive_parse_term)
+            expected = parse_outcome(text, spec)
+        assert found == expected, text
+        return found
+
+    def bracketings(self, rng, count):
+        """(spec, term) pairs: runs of + under random bracketings inside
+        runs of | under random bracketings."""
+        for _ in range(count):
+            spec = random_spec(rng, max_par=1)
+            consts = tuple(spec.defs)
+            parts = []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.4:
+                    parts.append(random_sequential(rng, 3, consts))
+                    continue
+                summands = [random_guarded(rng, 3, consts)
+                            for _ in range(rng.randint(2, 5))]
+                part = bracketed(rng, summands, Sum)
+                parts.append(Prefix(low("a"), part) if rng.random() < 0.3
+                             else part)
+            yield spec, bracketed(rng, parts, Par)
+
+    def test_renderings(self, monkeypatch):
+        rng = random.Random(23)
+        for _ in range(500):
+            spec = random_spec(rng)
+            for root in (spec.main, *spec.defs.values()):
+                assert self.assert_same(show(root), spec, monkeypatch) == root
+
+    def test_bracketings(self, monkeypatch):
+        rng = random.Random(24)
+        for spec, term in self.bracketings(rng, 500):
+            assert self.assert_same(show(term), spec, monkeypatch) == term
+
+    def test_mutations(self, monkeypatch):
+        # delete or insert one operator or parenthesis
+        rng = random.Random(25)
+        texts = [(show(term), spec) for spec, term in self.bracketings(rng, 400)]
+        errors = 0
+        for _ in range(2000):
+            text, spec = rng.choice(texts)
+            if rng.random() < 0.5:
+                spots = [i for i, c in enumerate(text) if c in "()+|."]
+                if not spots:
+                    continue
+                i = rng.choice(spots)
+                text = text[:i] + text[i + 1:]
+            else:
+                i = rng.randint(0, len(text))
+                text = text[:i] + rng.choice("()+|.") + text[i:]
+            found = self.assert_same(text, spec, monkeypatch)
+            errors += not isinstance(found, syntax.Term)
+        assert errors > 1000
 
 
 class TestCategories:
@@ -347,7 +445,8 @@ def companion_names(a, b, spec_a, spec_b) -> dict:
             assert u.action == v.action
             stack.append((u.body, v.body))
         elif isinstance(u, (Sum, Par)):
-            stack += ((u.left, v.left), (u.right, v.right))
+            assert len(u.operands) == len(v.operands)
+            stack += zip(u.operands, v.operands)
     return names
 
 
@@ -391,11 +490,10 @@ class TestNormalizeSum:
         rng = random.Random(9)
         for _ in range(300):
             t = random_guarded(rng, 4)
-            parts = summands(normalize_sum(t))
+            canon = normalize_sum(t)
+            parts = list(canon.operands) if isinstance(canon, Sum) else [canon]
             rng.shuffle(parts)
-            reordered = parts[0]
-            for part in parts[1:]:
-                reordered = Sum(reordered, part)
+            reordered = Sum(*parts) if len(parts) > 1 else parts[0]
             assert normalize_sum(reordered) == normalize_sum(t)
 
     @settings(max_examples=200, deadline=None)

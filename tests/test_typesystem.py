@@ -29,9 +29,10 @@ def syntactic_equational(p, q, spec):
     """The side condition by its definition: restrict p | q syntactically
     in one call, so both sides share their primed constants, and compare
     the two sides up to rooted team equivalence."""
-    restricted, extended = restrict_syntactic(Par(p, q), spec)
-    return terms_equiv(restricted.left, restricted.right, extended,
-                       rooted=True)
+    # 0 opens the run, so that p and q stay one operand each
+    restricted, extended = restrict_syntactic(Par(NIL, p, q), spec)
+    _, left, right = restricted.operands
+    return terms_equiv(left, right, extended, rooted=True)
 
 
 def secure_ring(n, branching):
