@@ -332,19 +332,22 @@ def _derivation_json(d: typesystem.Derivation) -> dict:
     }
 
 
+def _judgment_json(j: typesystem.TypingJudgment) -> dict:
+    return {
+        "term": show(j.term),
+        "typed": j.typed,
+        "reason": j.reason,
+        "failing": None if j.failing is None else show(j.failing),
+        "derivation": None if j.derivation is None
+        else _derivation_json(j.derivation),
+    }
+
+
 def run_type(args) -> int:
     spec = _load(args)
     judgment = typesystem.type_check(spec)
     if args.fmt == "json":
-        print(_json_text({
-            "term": show(judgment.term),
-            "typed": judgment.typed,
-            "reason": judgment.reason,
-            "failing": None if judgment.failing is None
-            else show(judgment.failing),
-            "derivation": None if judgment.derivation is None
-            else _derivation_json(judgment.derivation),
-        }))
+        print(_json_text(_judgment_json(judgment)))
     else:
         sys.stdout.write("\n".join(typesystem.judgment_lines(judgment)) + "\n")
     return 0 if judgment.typed else 1

@@ -277,7 +277,8 @@ class Spec:
 
 
 def validate_spec(spec: Spec) -> None:
-    """Check category discipline and definedness for every term in spec."""
+    """Check category discipline and definedness for every term in spec,
+    naming the first undefined constant of main, then of each body."""
     for name, body in spec.defs.items():
         if category(body) != GUARDED:
             raise CategoryError(
@@ -289,21 +290,22 @@ def validate_spec(spec: Spec) -> None:
                 raise SpecError(f"undefined process constant {name}")
 
 
-def const_names(t: Term) -> set:
-    """Names of the constants occurring syntactically in t (no unfolding)."""
-    names = set()
+def const_names(t: Term):
+    """Names of the constants occurring syntactically in t (no unfolding),
+    as a set-like view in order of first occurrence, left to right."""
+    names = {}
     stack = [t]
     while stack:
         u = stack.pop()
         if isinstance(u, Const):
-            names.add(u[0])
+            names[u[0]] = None
         elif isinstance(u, Prefix):
             stack.append(u[1])
         elif isinstance(u, _Run):
-            stack += u[:-1]
+            stack += u[-2::-1]
         elif not isinstance(u, Nil):
             raise TypeError(f"not a term: {u!r}")
-    return names
+    return names.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +446,7 @@ class _Scanner:
         return self.pos >= len(self.text)
 
 
-def _parse_term(scanner: _Scanner, high_names, known_consts) -> Term:
+def _parse_term(scanner: _Scanner, high_names) -> Term:
     """par := sum ('|' sum)* ; sum := prefix ('+' prefix)* ;
     prefix := (action '.')* atom ; atom := '0' | CONST | '(' par ')'.
 
@@ -469,7 +471,6 @@ def _parse_term(scanner: _Scanner, high_names, known_consts) -> Term:
                 actions.append(_action_of(scanner, high_names, name, column))
                 scanner.take(".")
                 continue
-            known_consts.add(name)
             term = Const(name)
         while True:  # the atom ends a prefix, then maybe runs and a group
             for action in reversed(actions):
@@ -527,6 +528,7 @@ def parse_spec(text: str) -> Spec:
         scanner = _Scanner(_strip_comment(raw), number)
         scanner.take("high")
         while True:
+            scanner.skip_space()
             column = scanner.pos + 1
             name = scanner.ident()
             if name == TAU_NAME:
@@ -541,16 +543,16 @@ def parse_spec(text: str) -> Spec:
 
     defs = {}
     main = None
-    known_consts = set()
     for number, raw in enumerate(lines, start=1):
         body = _strip_comment(raw).strip()
         if not body or (body.startswith("high") and body[4:5] in ("", " ", "\t")):
             continue
         scanner = _Scanner(_strip_comment(raw), number)
+        scanner.skip_space()
         column = scanner.pos + 1
         name = scanner.ident()
         scanner.take(":=")
-        term = _parse_term(scanner, high_names, known_consts)
+        term = _parse_term(scanner, high_names)
         if not scanner.at_end():
             scanner.error("unexpected trailing input")
         if name == "main":
@@ -576,11 +578,10 @@ def parse_spec(text: str) -> Spec:
 def parse_term(text: str, spec: Spec) -> Term:
     """Parse a single term in the environment of an existing Spec."""
     scanner = _Scanner(text, 1)
-    known = set()
-    term = _parse_term(scanner, spec.high_names, known)
+    term = _parse_term(scanner, spec.high_names)
     if not scanner.at_end():
         scanner.error("unexpected trailing input")
-    for name in known:
+    for name in const_names(term):
         if name not in spec.defs:
             raise SpecError(f"undefined process constant {name}")
     category(term)

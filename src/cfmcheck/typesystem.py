@@ -8,7 +8,7 @@ semantically.  Choices are searched modulo their reordering laws, so a
 term is accepted whenever some rearrangement of its choices is.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .equiv import markings_equiv
 from .net import dec, lts_step
@@ -31,7 +31,6 @@ class Derivation:
 @dataclass(frozen=True)
 class TypingJudgment:
     term: Term
-    scanned: frozenset
     typed: bool
     derivation: Derivation | None = None
     reason: str = ""
@@ -62,44 +61,41 @@ def decide_equational(p: Term, q: Term, spec: Spec) -> bool:
     return markings_equiv(analysis.rooted, k1, k2)
 
 
-def type_check(spec: Spec, term: Term = None) -> TypingJudgment:
-    """Type main (or the given term) against the security discipline.
+def type_check(spec: Spec) -> TypingJudgment:
+    """Type main against the security discipline.
 
-    Every choice is first normalized modulo commutativity,
-    associativity, idempotence and dropped 0 summands; a choice with
-    high branches is then searched over all ways of singling one out.
-    Results are memoized on the normalized rendering plus the set of
-    constants already under scan, normal forms on the rendering, and
-    side conditions on the pair of renderings.
+    main and each constant body are normalized once, modulo
+    commutativity, associativity, idempotence and dropped 0 summands,
+    and the subterms of a normal form are normal forms, so the rules
+    meet normal forms only.  A choice with high branches is searched
+    over all ways of singling one out.  Results are memoized on the
+    rendering plus the set of constants already under scan, and side
+    conditions on the pair of renderings.
     """
-    target = spec.main if term is None else term
-    return _Typing(spec).check(target, frozenset())
+    found = _Typing(spec).check(normalize_sum(spec.main), frozenset())
+    if isinstance(found, Derivation):
+        return TypingJudgment(spec.main, True, found)
+    reason, failing = found
+    return TypingJudgment(spec.main, False, None, reason, failing)
 
 
 class _Typing:
-    """The memos of one type_check call and the rules that fill them."""
+    """The memos of one type_check call and the rules that fill them.
+
+    A rule gives a Derivation or a (reason, failing subterm) pair, and
+    stops at its first failing premise.  No query re-enters itself: each
+    premise unfolds a constant not yet under scan or is a smaller normal
+    form.
+    """
 
     def __init__(self, spec: Spec):
         self.spec = spec
-        self.memo, self.normal, self.equal = {}, {}, {}
+        self.memo, self.bodies, self.equal = {}, {}, {}
 
-    def check(self, t, scanned) -> TypingJudgment:
-        shown = show(t)
-        canon = self.normal.get(shown)
-        if canon is None:
-            canon = self.normal[shown] = normalize_sum(t)
-        key = (show(canon), scanned)
-        memo = self.memo
-        if key not in memo:
-            # a derivation may not take itself as a premise, so a
-            # reentrant query reads as untypable while in progress
-            memo[key] = TypingJudgment(canon, scanned, False, None,
-                                       "circular typing dependency", canon)
-            memo[key] = self.judge(canon, scanned)
-        found = memo[key]
-        if shown != key[0]:
-            found = replace(found, term=t)
-        return found
+    def body(self, name) -> Term:
+        if name not in self.bodies:
+            self.bodies[name] = normalize_sum(self.spec.body_of(name))
+        return self.bodies[name]
 
     def equivalent(self, p, q) -> bool:
         key = (show(p), show(q))
@@ -107,45 +103,60 @@ class _Typing:
             self.equal[key] = decide_equational(p, q, self.spec)
         return self.equal[key]
 
-    def judge(self, t, scanned) -> TypingJudgment:
-        check, spec = self.check, self.spec
+    def derive(self, rule, t, scanned, premises=()):
+        """Apply rule to t once each premise, a (term, scanned) pair, is
+        typed; else fail as the first untyped premise does."""
+        children = []
+        for u, under in premises:
+            found = self.check(u, under)
+            if not isinstance(found, Derivation):
+                return found
+            children.append(found)
+        return Derivation(rule, t, scanned, tuple(children))
+
+    def check(self, t, scanned):
+        # the rules live here, not in a helper, so that a prefix costs
+        # two frames per level, check and derive
+        key = (show(t), scanned)
+        memo = self.memo
+        if key in memo:
+            return memo[key]
+        derive, spec = self.derive, self.spec
         match t:
             case Nil():
-                return _typed(t, scanned, "nil")
+                found = derive("nil", t, scanned)
             case Par(operands):
-                children = [check(u, scanned) for u in operands]
-                return _combine(t, scanned, "par", children)
+                found = derive("par", t, scanned,
+                               [(u, scanned) for u in operands])
+            case Const(name) if name in scanned:
+                found = derive("const-scanned", t, scanned)
             case Const(name):
-                if name in scanned:
-                    return _typed(t, scanned, "const-scanned")
-                child = check(spec.body_of(name), scanned | {name})
-                return _combine(t, scanned, "const-def", [child])
-            case Prefix(action, body):
-                if not action.is_high:
-                    child = check(body, scanned)
-                    return _combine(t, scanned, "prefix-low", [child])
-                if is_deadlock_place(body, spec):
-                    return _typed(t, scanned, "prefix-high-stuck")
-                starts = {a for a, _ in lts_step(body, spec)}
-                if starts and all(a.is_high for a in starts):
-                    child = check(body, scanned)
-                    return _combine(t, scanned, "prefix-high-high", [child])
-                return _untyped(
-                    t, scanned, t,
-                    "a high prefix must lead to a stuck place or to "
-                    "exclusively high behaviour")
+                found = derive("const-def", t, scanned,
+                               [(self.body(name), scanned | {name})])
+            case Prefix(action, body) if not action.is_high:
+                found = derive("prefix-low", t, scanned, [(body, scanned)])
+            case Prefix(_, body) if is_deadlock_place(body, spec):
+                found = derive("prefix-high-stuck", t, scanned)
+            case Prefix(_, body) if _only_high(lts_step(body, spec)):
+                found = derive("prefix-high-high", t, scanned,
+                               [(body, scanned)])
+            case Prefix():
+                found = ("a high prefix must lead to a stuck place or to "
+                         "exclusively high behaviour", t)
             case Sum():
-                return self.judge_choice(t, scanned)
-        raise TypeError(f"not a term: {t!r}")
+                found = self.check_choice(t, scanned)
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+        memo[key] = found
+        return found
 
-    def judge_choice(self, t, scanned) -> TypingJudgment:
-        check = self.check
+    def check_choice(self, t, scanned):
         parts = t.operands
         high_at = [i for i, part in enumerate(parts)
                    if isinstance(part, Prefix) and part.action.is_high]
         if not high_at:
-            children = [check(part, scanned) for part in parts]
-            return _combine(t, scanned, "choice-low", children)
+            return self.derive("choice-low", t, scanned,
+                               [(part, scanned) for part in parts])
 
         failures = []
         for i in high_at:
@@ -153,14 +164,15 @@ class _Typing:
             if picked.body == NIL:
                 failures.append(f"{show(picked)} guards 0, which vanishes")
                 continue
+            # the rest of a normal form's summands is a normal form
             rest = parts[:i] + parts[i + 1:]
             remainder = rest[0] if len(rest) == 1 else Sum(*rest)
-            branch = check(picked.body, scanned)
-            if not branch.typed:
+            branch = self.check(picked.body, scanned)
+            if not isinstance(branch, Derivation):
                 failures.append(f"{show(picked.body)} is not typable")
                 continue
-            kept = check(remainder, scanned)
-            if not kept.typed:
+            kept = self.check(remainder, scanned)
+            if not isinstance(kept, Derivation):
                 failures.append(f"{show(remainder)} is not typable")
                 continue
             if not self.equivalent(picked.body, remainder):
@@ -168,32 +180,14 @@ class _Typing:
                     f"{show(picked.body)} and {show(remainder)} differ "
                     "once high actions are hidden")
                 continue
-            node = Derivation("choice-high", Sum(picked, remainder),
-                              scanned,
-                              (branch.derivation, kept.derivation))
-            return TypingJudgment(t, scanned, True, node)
+            return Derivation("choice-high", Sum(picked, remainder), scanned,
+                              (branch, kept))
         detail = "; ".join(dict.fromkeys(failures)) or "no high branch to single out"
-        return _untyped(t, scanned, t,
-                        f"no arrangement of this choice is typable: {detail}")
+        return f"no arrangement of this choice is typable: {detail}", t
 
 
-def _typed(t, scanned, rule, children=()) -> TypingJudgment:
-    return TypingJudgment(t, scanned, True,
-                          Derivation(rule, t, scanned, tuple(children)))
-
-
-def _combine(t, scanned, rule, children) -> TypingJudgment:
-    for child in children:
-        if not child.typed:
-            return TypingJudgment(t, scanned, False, None,
-                                  child.reason, child.failing)
-    node = Derivation(rule, t, scanned,
-                      tuple(child.derivation for child in children))
-    return TypingJudgment(t, scanned, True, node)
-
-
-def _untyped(t, scanned, failing, reason) -> TypingJudgment:
-    return TypingJudgment(t, scanned, False, None, reason, failing)
+def _only_high(moves) -> bool:
+    return bool(moves) and all(action.is_high for action, _ in moves)
 
 
 def derivation_lines(d: Derivation, depth: int = 0) -> list:

@@ -2,9 +2,10 @@
 branching-bisimulation oracles, the definitional check as it was before
 its edge filter, the term transition system explored on whole terms,
 the recursive term walks the package replaced (parsing, rendering,
-categories, constant names and derivation listings), randomized nets, terms,
-specifications and axiom instances, and every spec of a small scope,
-for the tests.
+categories, constant names and derivation listings), the typing as it
+was before it judged normal forms only, typing's side condition by its
+definition, randomized nets, terms, specifications and axiom
+instances, and every spec of a small scope, for the tests.
 
 The oracles use only public engine names, so they check the refinement
 engine and the marking exploration independently.  Generators draw from a caller-supplied
@@ -14,8 +15,12 @@ law's side conditions by construction or by bounded resampling.
 
 from bisect import bisect_left
 from collections import Counter
+from dataclasses import dataclass, replace
 
-from cfmcheck.equiv import Partition, branching_bisim, strong_partition
+from cfmcheck.cli import _json_text, _judgment_json
+from cfmcheck.equiv import (
+    Partition, branching_bisim, strong_partition, terms_equiv,
+)
 from cfmcheck.net import (
     Lts, Net, StateLimitError, Transition, build_net, dec, lts_step,
     reach_graph, restrict_net,
@@ -23,8 +28,12 @@ from cfmcheck.net import (
 from cfmcheck.security import Verdict, Witness
 from cfmcheck.syntax import (
     GUARDED, NIL, PARALLEL, SEQUENTIAL, TAU, CategoryError, Const, Nil, Par,
-    Prefix, Spec, Sum, Term, _action_of, const_names, high, low, show,
-    validate_spec,
+    Prefix, Spec, Sum, Term, _action_of, const_names, high, low,
+    normalize_sum, restrict_syntactic, show, validate_spec,
+)
+from cfmcheck.typesystem import (
+    Derivation, TypingJudgment, decide_equational, is_deadlock_place,
+    judgment_lines,
 )
 
 
@@ -41,7 +50,7 @@ def make_spec(high_names=(), defs=None, main=NIL) -> Spec:
 def reachable_consts(t: Term, spec: Spec) -> set:
     """Constants reachable from t through definition bodies, transitively."""
     seen = set()
-    frontier = const_names(t)
+    frontier = set(const_names(t))
     while frontier:
         name = frontier.pop()
         if name in seen:
@@ -113,26 +122,26 @@ def is_observationally_guarded(name: str, spec: Spec) -> bool:
 # the recursive term walks, as oracles for the terms' cached renderings
 # and the package's iterative walks
 
-def naive_parse_term(scanner, high_names, known_consts) -> Term:
+def naive_parse_term(scanner, high_names) -> Term:
     """par := sum ('|' sum)* ; sum := prefix ('+' prefix)* ;
     prefix := (action '.')* atom ; atom := '0' | CONST | '(' par ')'.
 
     The recursive-descent parser that syntax._parse_term replaced; it
     builds every run from two operands at a time."""
-    term = _naive_parse_sum(scanner, high_names, known_consts)
+    term = _naive_parse_sum(scanner, high_names)
     while scanner.try_take("|"):
-        term = Par(term, _naive_parse_sum(scanner, high_names, known_consts))
+        term = Par(term, _naive_parse_sum(scanner, high_names))
     return term
 
 
-def _naive_parse_sum(scanner, high_names, known_consts) -> Term:
-    term = _naive_parse_prefix(scanner, high_names, known_consts)
+def _naive_parse_sum(scanner, high_names) -> Term:
+    term = _naive_parse_prefix(scanner, high_names)
     while scanner.try_take("+"):
-        term = Sum(term, _naive_parse_prefix(scanner, high_names, known_consts))
+        term = Sum(term, _naive_parse_prefix(scanner, high_names))
     return term
 
 
-def _naive_parse_prefix(scanner, high_names, known_consts) -> Term:
+def _naive_parse_prefix(scanner, high_names) -> Term:
     """Read a.b.c.atom in a loop, then build the prefixes inside-out."""
     actions = []
     while True:
@@ -140,13 +149,12 @@ def _naive_parse_prefix(scanner, high_names, known_consts) -> Term:
             term = NIL
             break
         if scanner.try_take("("):
-            term = naive_parse_term(scanner, high_names, known_consts)
+            term = naive_parse_term(scanner, high_names)
             scanner.take(")")
             break
         column = scanner.pos + 1
         name = scanner.ident()
         if name[0].isupper():
-            known_consts.add(name)
             term = Const(name)
             break
         # a lowercase name here must be an action prefix
@@ -245,6 +253,167 @@ def subterms(t: Term) -> list:
         elif isinstance(u, (Sum, Par)):
             stack += reversed(u.operands)
     return found
+
+
+# ---------------------------------------------------------------------------
+# typing as it was: every subterm normalized again, judgments throughout,
+# and the side condition by its definition
+
+@dataclass(frozen=True)
+class _NaiveJudgment:
+    term: Term
+    scanned: frozenset
+    typed: bool
+    derivation: Derivation | None = None
+    reason: str = ""
+    failing: Term | None = None
+
+
+def naive_type_check(spec: Spec, asked=None) -> TypingJudgment:
+    """type_check as it was before the typing judged normal forms only.
+
+    Each query normalizes its term again, memoized on the rendering; a
+    query in progress reads as untypable; every premise is judged before
+    the first failing one is reported.  Each side condition decided is
+    appended to the list asked, when one is given, as (p, q, verdict).
+    """
+    found = _NaiveTyping(spec, asked).check(spec.main, frozenset())
+    return TypingJudgment(found.term, found.typed, found.derivation,
+                          found.reason, found.failing)
+
+
+class _NaiveTyping:
+    def __init__(self, spec: Spec, asked):
+        self.spec, self.asked = spec, asked
+        self.memo, self.normal, self.equal = {}, {}, {}
+
+    def check(self, t, scanned) -> _NaiveJudgment:
+        shown = show(t)
+        canon = self.normal.get(shown)
+        if canon is None:
+            canon = self.normal[shown] = normalize_sum(t)
+        key = (show(canon), scanned)
+        memo = self.memo
+        if key not in memo:
+            memo[key] = _NaiveJudgment(canon, scanned, False, None,
+                                       "circular typing dependency", canon)
+            memo[key] = self.judge(canon, scanned)
+        found = memo[key]
+        if shown != key[0]:
+            found = replace(found, term=t)
+        return found
+
+    def equivalent(self, p, q) -> bool:
+        key = (show(p), show(q))
+        if key not in self.equal:
+            self.equal[key] = decide_equational(p, q, self.spec)
+            if self.asked is not None:
+                self.asked.append((p, q, self.equal[key]))
+        return self.equal[key]
+
+    def judge(self, t, scanned) -> _NaiveJudgment:
+        check, spec = self.check, self.spec
+        match t:
+            case Nil():
+                return _typed(t, scanned, "nil")
+            case Par(operands):
+                children = [check(u, scanned) for u in operands]
+                return _combine(t, scanned, "par", children)
+            case Const(name):
+                if name in scanned:
+                    return _typed(t, scanned, "const-scanned")
+                child = check(spec.body_of(name), scanned | {name})
+                return _combine(t, scanned, "const-def", [child])
+            case Prefix(action, body):
+                if not action.is_high:
+                    child = check(body, scanned)
+                    return _combine(t, scanned, "prefix-low", [child])
+                if is_deadlock_place(body, spec):
+                    return _typed(t, scanned, "prefix-high-stuck")
+                starts = {a for a, _ in lts_step(body, spec)}
+                if starts and all(a.is_high for a in starts):
+                    child = check(body, scanned)
+                    return _combine(t, scanned, "prefix-high-high", [child])
+                return _untyped(
+                    t, scanned, t,
+                    "a high prefix must lead to a stuck place or to "
+                    "exclusively high behaviour")
+            case Sum():
+                return self.judge_choice(t, scanned)
+        raise TypeError(f"not a term: {t!r}")
+
+    def judge_choice(self, t, scanned) -> _NaiveJudgment:
+        check = self.check
+        parts = t.operands
+        high_at = [i for i, part in enumerate(parts)
+                   if isinstance(part, Prefix) and part.action.is_high]
+        if not high_at:
+            children = [check(part, scanned) for part in parts]
+            return _combine(t, scanned, "choice-low", children)
+
+        failures = []
+        for i in high_at:
+            picked = parts[i]
+            if picked.body == NIL:
+                failures.append(f"{show(picked)} guards 0, which vanishes")
+                continue
+            rest = parts[:i] + parts[i + 1:]
+            remainder = rest[0] if len(rest) == 1 else Sum(*rest)
+            branch = check(picked.body, scanned)
+            if not branch.typed:
+                failures.append(f"{show(picked.body)} is not typable")
+                continue
+            kept = check(remainder, scanned)
+            if not kept.typed:
+                failures.append(f"{show(remainder)} is not typable")
+                continue
+            if not self.equivalent(picked.body, remainder):
+                failures.append(
+                    f"{show(picked.body)} and {show(remainder)} differ "
+                    "once high actions are hidden")
+                continue
+            node = Derivation("choice-high", Sum(picked, remainder),
+                              scanned,
+                              (branch.derivation, kept.derivation))
+            return _NaiveJudgment(t, scanned, True, node)
+        detail = "; ".join(dict.fromkeys(failures)) or "no high branch to single out"
+        return _untyped(t, scanned, t,
+                        f"no arrangement of this choice is typable: {detail}")
+
+
+def _typed(t, scanned, rule, children=()) -> _NaiveJudgment:
+    return _NaiveJudgment(t, scanned, True,
+                          Derivation(rule, t, scanned, tuple(children)))
+
+
+def _combine(t, scanned, rule, children) -> _NaiveJudgment:
+    for child in children:
+        if not child.typed:
+            return _NaiveJudgment(t, scanned, False, None,
+                                  child.reason, child.failing)
+    node = Derivation(rule, t, scanned,
+                      tuple(child.derivation for child in children))
+    return _NaiveJudgment(t, scanned, True, node)
+
+
+def _untyped(t, scanned, failing, reason) -> _NaiveJudgment:
+    return _NaiveJudgment(t, scanned, False, None, reason, failing)
+
+
+def type_outputs(judgment: TypingJudgment) -> tuple:
+    """What cfmcheck type prints for judgment: its text lines and its
+    JSON text."""
+    return judgment_lines(judgment), _json_text(_judgment_json(judgment))
+
+
+def syntactic_equational(p, q, spec):
+    """The side condition by its definition: restrict p | q syntactically
+    in one call, so both sides share their primed constants, and compare
+    the two sides up to rooted team equivalence."""
+    # 0 opens the run, so that p and q stay one operand each
+    restricted, extended = restrict_syntactic(Par(NIL, p, q), spec)
+    _, left, right = restricted.operands
+    return terms_equiv(left, right, extended, rooted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,23 @@ class TestJsonOutput:
 
 
 class TestErrors:
+    def test_undefined_constant_named_alike_under_any_hash_seed(
+            self, tmp_path):
+        path = tmp_path / "undefined.cfm"
+        path.write_text("main := Bee | Cat | Dog | Eel\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        errors = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(
+                           None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run(
+                [sys.executable, "-m", "cfmcheck.cli", "dni", str(path)],
+                capture_output=True, text=True, env=env)
+            assert done.returncode == 2
+            errors.add(done.stderr)
+        assert errors == {"error: undefined process constant Bee\n"}
+
     def test_missing_file(self, capsys):
         assert main(["net", "/nonexistent/spec.cfm"]) == 2
         assert "error:" in capsys.readouterr().err

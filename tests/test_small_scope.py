@@ -1,9 +1,12 @@
 """Criteria 3, 4 and 8, the marking graph against the definition of
-firing, build_lts against the LTS explored on whole terms, and the
-rendering of every body and main re-parsing to the same term, on every
-spec of the small scope (support.small_specs) at bound 3.  Random draws
-rarely hit every combination of the small corner cases; the enumeration
-misses none up to its bound.
+firing, build_lts against the LTS explored on whole terms, the
+rendering of every body and main re-parsing to the same term,
+type_check against the typing as it was (support.naive_type_check),
+and each side condition that typing decides, and the pair of A's and
+B's bodies, against its definition (support.syntactic_equational), on
+every spec of the small scope (support.small_specs) at bound 3.
+Random draws rarely hit every combination of the small corner cases;
+the enumeration misses none up to its bound.
 
 Run as a script for a larger bound, 4 by default:
 
@@ -18,16 +21,17 @@ import time
 
 from cfmcheck.net import build_lts, build_net, reach_graph
 from cfmcheck.security import check_all
-from cfmcheck.syntax import parse_term, show
-from cfmcheck.typesystem import type_check
+from cfmcheck.syntax import normalize_sum, parse_term, show
+from cfmcheck.typesystem import decide_equational, type_check
 from support import (
-    fired_reach_graph, lts_summary, marking_graph_matches_lts, small_specs,
-    term_lts,
+    fired_reach_graph, lts_summary, marking_graph_matches_lts,
+    naive_type_check, small_specs, syntactic_equational, term_lts,
+    type_outputs,
 )
 
 LIMIT = 10 ** 4
 CHECKS = ("criterion 3", "criterion 4", "criterion 8", "firing", "lts",
-          "show")
+          "show", "typing", "side condition")
 
 
 def disagreements(spec) -> list:
@@ -36,8 +40,19 @@ def disagreements(spec) -> list:
     definitional, structural, compositional, rooted = check_all(spec, LIMIT)
     if not definitional.secure == structural.secure == compositional.secure:
         failed.append("criterion 3")
-    if type_check(spec).typed != rooted.secure:
+    judgment = type_check(spec)
+    if judgment.typed != rooted.secure:
         failed.append("criterion 4")
+    asked = []
+    if type_outputs(judgment) != type_outputs(naive_type_check(spec, asked)):
+        failed.append("typing")
+    # below five nodes no choice keeps two live summands, so typing asks
+    # nothing here: the two bodies stand in for a branch and a remainder
+    p, q = (normalize_sum(spec.defs[name]) for name in "AB")
+    asked.append((p, q, decide_equational(p, q, spec)))
+    if any(verdict != syntactic_equational(p, q, spec)
+           for p, q, verdict in asked):
+        failed.append("side condition")
     if not marking_graph_matches_lts(spec, LIMIT):
         failed.append("criterion 8")
     net = build_net(spec)

@@ -237,6 +237,19 @@ class TestParsing:
         assert caught.value.line == 2
         assert caught.value.column == 11
 
+    def test_error_columns_of_names(self):
+        # the column of the name itself, past the blanks before it
+        for text, line, column in (
+                ("high a,  tau\nmain := 0", 1, 10),
+                ("high   Bad\nmain := 0", 1, 8),
+                ("  A := a.0\n  A := b.0\nmain := A", 2, 3),
+                ("main := 0\n\tmain := 0", 2, 2),
+                ("  foo := 0\nmain := 0", 1, 3)):
+            with pytest.raises(ParseError) as caught:
+                parse_spec(text)
+            assert (caught.value.line, caught.value.column) == \
+                (line, column), text
+
     def test_reserved_words(self):
         with pytest.raises(ParseError):
             parse_spec("main := high.0")
@@ -256,6 +269,20 @@ class TestParsing:
     def test_undefined_constant(self):
         with pytest.raises(SpecError):
             parse_spec("main := B")
+
+    def test_first_undefined_constant_is_named(self):
+        # main first, then each body in definition order, left to right
+        for text, name in (
+                ("main := Bee | Cat | Dog | Eel", "Bee"),
+                ("A := a.Ant + b.Bee\nmain := Cat | A", "Cat"),
+                ("A := a.A\nB := a.(b.Fox + c.Gnu)\nC := a.Ant\n"
+                 "main := A | B", "Fox")):
+            with pytest.raises(SpecError) as caught:
+                parse_spec(text)
+            assert str(caught.value) == f"undefined process constant {name}"
+        spec = spec_of("A := a.A\nmain := A")
+        with pytest.raises(SpecError, match="constant Dog$"):
+            parse_term("a.Dog + b.A + c.Cat", spec)
 
 
 def parse_outcome(text, spec):

@@ -2,22 +2,20 @@
 
 import gc
 import random
+import sys
 
 import pytest
 
 from cfmcheck import typesystem
-from cfmcheck.equiv import terms_equiv
 from cfmcheck.security import rooted_dni
-from cfmcheck.syntax import (
-    NIL, Par, parse_spec, parse_term, restrict_syntactic, show,
-)
+from cfmcheck.syntax import NIL, parse_spec, parse_term, show
 from cfmcheck.typesystem import (
     decide_equational, derivation_lines, is_deadlock_place, judgment_lines,
     type_check,
 )
 from support import (
-    AXIOM_NAMES, axiom_instance, naive_derivation_lines, random_spec,
-    subterms,
+    AXIOM_NAMES, axiom_instance, naive_derivation_lines, naive_type_check,
+    random_spec, subterms, syntactic_equational, type_outputs,
 )
 
 
@@ -25,26 +23,25 @@ def spec_of(text):
     return parse_spec(text)
 
 
-def syntactic_equational(p, q, spec):
-    """The side condition by its definition: restrict p | q syntactically
-    in one call, so both sides share their primed constants, and compare
-    the two sides up to rooted team equivalence."""
-    # 0 opens the run, so that p and q stay one operand each
-    restricted, extended = restrict_syntactic(Par(NIL, p, q), spec)
-    _, left, right = restricted.operands
-    return terms_equiv(left, right, extended, rooted=True)
-
-
 def secure_ring(n, branching):
+    return ring(n, branching, secure=True)
+
+
+def ring(n, branching, secure):
     """Ci := a.C(i+1), plus b.C(7i+3) when branching; C(n/2) := h.X + X
-    for its low body X."""
+    for its low body X when secure, else h.C(n/2+1)."""
     bodies = []
     for i in range(n):
         body = f"a.C{(i + 1) % n}"
         if branching:
             body += f" + b.C{(7 * i + 3) % n}"
         if i == n // 2:
-            body = f"h.({body}) + {body}" if branching else f"h.{body} + {body}"
+            if not secure:
+                body = f"h.C{(i + 1) % n}"
+            elif branching:
+                body = f"h.({body}) + {body}"
+            else:
+                body = f"h.{body} + {body}"
         bodies.append(body)
     return spec_of("high h\n" + "".join(
         f"C{i} := {body}\n" for i, body in enumerate(bodies)) + "main := C0\n")
@@ -119,7 +116,7 @@ class TestKnownJudgments:
     def test_term_argument(self):
         spec = spec_of("high h\nC := h.l.C + l.C\nmain := h.0")
         assert not type_check(spec).typed
-        assert type_check(spec, parse_term("C", spec)).typed
+        assert type_check(spec.with_main(parse_term("C", spec))).typed
 
 
 class TestJudgmentContents:
@@ -178,6 +175,42 @@ class TestDerivationListing:
         for n, branching in ((50, False), (100, False), (8, True), (12, True),
                              (16, True)):
             assert self.assert_listed(secure_ring(n, branching))
+
+
+class TestAgainstNaiveTyping:
+    """type_check against the typing as it was (support.naive_type_check):
+    the same text and the same JSON for cfmcheck type."""
+
+    @staticmethod
+    def assert_same(spec):
+        judgment = type_check(spec)
+        assert type_outputs(judgment) == \
+            type_outputs(naive_type_check(spec)), show(spec.main)
+        return judgment.typed
+
+    def test_random_specs(self):
+        rng = random.Random(24)
+        typed = sum(self.assert_same(random_spec(rng)) for _ in range(2000))
+        assert 400 < typed < 1600
+
+    @pytest.mark.parametrize("secure", [True, False])
+    def test_rings(self, secure):
+        for n, branching in ((50, False), (100, False), (8, True), (12, True),
+                             (16, True)):
+            assert self.assert_same(ring(n, branching, secure)) == secure
+
+    def test_deep_nested_choice(self):
+        # a.(b.0 + a.(b.0 + ...)): a prefix and a choice per level, under
+        # the default recursion limit
+        text = "0"
+        for _ in range(120):
+            text = f"a.(b.0 + {text})"
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert type_check(spec_of(f"main := {text}")).typed
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestEquationalSideCheck:
