@@ -13,9 +13,11 @@ left its verdict inconclusive.
 
 import argparse
 import functools
+import json
 import os
 import sys
-from json.encoder import INFINITY, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from . import equiv, security, typesystem
 from .net import (
@@ -120,34 +122,17 @@ def _json_text(value) -> str:
     return "".join(parts)
 
 
-def _scalar_json(value) -> str:
-    """A scalar as json writes it, tested in json's order."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == INFINITY:
-            return "Infinity"
-        if value == -INFINITY:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} "
-                    "is not JSON serializable")
+def _float_json(value) -> str:
+    # NaN and the infinities are spelled as json spells them
+    return float.__repr__(value) if isfinite(value) else json.dumps(value)
 
 
-# the writers of the scalar types, by exact type, for the loops below
+# the writers of the scalar types, by exact type, for the loops below;
+# json.dumps writes any other scalar, or raises TypeError
 _SCALAR_JSON = {str: encode_basestring_ascii, int: int.__repr__,
-                float: _scalar_json, bool: _scalar_json,
-                type(None): _scalar_json}
+                float: _float_json,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda value: "null"}
 
 
 def _write_json(value, prefix, newline, parts):
@@ -185,7 +170,7 @@ def _write_json(value, prefix, newline, parts):
             lead = "," + inner
         parts.append(newline + "]")
     else:
-        parts.append(prefix + _scalar_json(value))
+        parts.append(prefix + json.dumps(value))
 
 
 def run_net(args) -> int:
@@ -252,7 +237,7 @@ def run_equiv(args) -> int:
     spec = _load(args)
     left = parse_term(args.left, spec)
     right = parse_term(args.right, spec)
-    union = build_net(spec, Par(left, right))
+    union = build_net(spec.with_main(Par(left, right)))
     part = equiv.branching_bisim(union)
     if args.rooted:
         part = equiv.rooted_partition(union, part)

@@ -280,7 +280,7 @@ def terms_equiv(p: Term, q: Term, spec: Spec, rooted: bool = False) -> bool:
 
     category(p)
     category(q)
-    union = build_net(spec, Par(p, q))
+    union = build_net(spec.with_main(Par(p, q)))
     part = branching_bisim(union)
     if rooted:
         part = rooted_partition(union, part)

@@ -156,12 +156,12 @@ def _explore(roots, moves, limit=None, keep=None) -> tuple:
     """Breadth-first search that interns states by key in discovery order.
 
     roots holds (key, state) pairs and moves(state) gives (label, key,
-    successor) triples.  Returns (keys, states, edges, steps): edges are
-    (source, label, target) index triples, by default all of them, and
-    with keep only those whose label keep(label) accepts; steps counts
-    every edge, kept or not.  Interning a state beyond limit states,
-    roots included, raises StateLimitError, which records how many
-    states were fully expanded.
+    successor) triples.  Returns (keys, edges, steps): edges are (source,
+    label, target) index triples, by default all of them, and with keep
+    only those whose label keep(label) accepts; steps counts every edge,
+    kept or not.  Interning a state beyond limit states, roots included,
+    raises StateLimitError, which records how many states were fully
+    expanded.
     """
     keys, states, edges = [], [], []
     index = {}
@@ -187,7 +187,7 @@ def _explore(roots, moves, limit=None, keep=None) -> tuple:
                 edges.append((cursor, label, target))
             steps += 1
         cursor += 1
-    return keys, states, edges, steps
+    return keys, edges, steps
 
 
 def reach_graph(net: Net, keep, limit: int = 10 ** 6) -> tuple:
@@ -218,9 +218,7 @@ def reach_graph(net: Net, keep, limit: int = 10 ** 6) -> tuple:
                     after = rest[:j] + (post,) + rest[j:]
                     yield t, after, after
 
-    keys, _, edges, steps = _explore([(net.initial, net.initial)], firings,
-                                     limit, keep)
-    return keys, edges, steps
+    return _explore([(net.initial, net.initial)], firings, limit, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +282,8 @@ def _place_table(spec: Spec, roots, limit=None) -> tuple:
     each place's rendering in discovery order, roots first, and its
     moves as (place, action, place) triples, grouped by source in
     _steps order.  limit caps the places as _explore does."""
-    names, _, edges, _ = _explore([(show(q), q) for q in roots],
-                                  lambda t: _steps(t, spec), limit)
+    names, edges, _ = _explore([(show(q), q) for q in roots],
+                               lambda t: _steps(t, spec), limit)
     return names, edges
 
 
@@ -333,8 +331,8 @@ def build_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
                     successor = state[:i] + (target,) + state[i + 1:]
                     yield action, successor, successor
 
-    states, _, product_edges, _ = _explore([(start, start)], product_moves,
-                                           limit)
+    states, product_edges, _ = _explore([(start, start)], product_moves,
+                                        limit)
     name = names.__getitem__
     return Lts(tuple(states),
                tuple("".join(map(add, map(name, state), after))
@@ -345,37 +343,34 @@ def build_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
 # ---------------------------------------------------------------------------
 # compiling terms to nets
 
-def build_net(spec: Spec, term: Term = None) -> Net:
-    """Compile a term (spec.main by default) into its net.
+def build_net(spec: Spec) -> Net:
+    """Compile spec.main into its net.
 
     The places are the sequential terms a token can reach from the
-    sequential components of the term, named by their renderings.  Each
+    sequential components of main, named by their renderings.  Each
     move of such a term, as lts_step gives it, is one transition: to the
     place of the derivative, or to the empty post-set when the
-    derivative is 0.  The initial marking is the decomposition of the
-    term.
+    derivative is 0.  The initial marking is the decomposition of main.
     """
-    t = spec.main if term is None else term
-    names, edges = _place_table(spec, components(t))
+    names, edges = _place_table(spec, components(spec.main))
     empty = show(NIL)
     return Net([name for name in names if name != empty],
                [(names[i], a, None if names[j] == empty else names[j])
                 for i, a, j in edges],
-               dec(t))
+               dec(spec.main))
 
 
-def restrict_net(net: Net, high_names) -> Net:
+def restrict_net(net: Net) -> Net:
     """Drop every transition labelled with a high action.
 
     Place names, place indexes and the initial marking stay those of the
     given net, so its places and markings address the restricted net
     directly; places no token can reach any more are kept.
     """
-    blocked = {str(name) for name in high_names}
     names = net.names
     transitions = [
         (names[t.pre], t.label, None if t.post is None else names[t.post])
-        for t in net.transitions if str(t.label) not in blocked
+        for t in net.transitions if not t.label.is_high
     ]
     return Net(names, transitions, [names[i] for i in net.initial])
 

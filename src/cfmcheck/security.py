@@ -96,8 +96,7 @@ class _Analysis:
     @cached_property
     def restricted(self) -> Net:
         """The net without high transitions, under the same place indexes."""
-        return self._phase("restrict_s", restrict_net, self.net,
-                           self.spec.high_names)
+        return self._phase("restrict_s", restrict_net, self.net)
 
     @cached_property
     def partition(self) -> Partition:

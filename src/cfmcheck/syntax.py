@@ -10,6 +10,7 @@ Constant bodies must be guarded; the main term may live in any category.
 Actions are partitioned into low and high names plus the silent action tau.
 """
 
+import re
 import string
 from dataclasses import dataclass, replace
 from operator import itemgetter
@@ -397,56 +398,38 @@ def normalize_sum(t: Term) -> Term:
 KEYWORDS = {"high", "main", TAU_NAME}
 
 _IDENT_START = set(string.ascii_letters)
-_IDENT_REST = set(string.ascii_letters + string.digits + "_'")
+
+# a name, :=, or any other one character but the blanks, space and tab
+_TOKEN = re.compile(r"[ \t]*([A-Za-z][A-Za-z0-9_']*|:=|[^ \t])")
 
 
-class _Scanner:
-    """Token stream over one source line."""
-
-    def __init__(self, text, line):
-        self.text = text
-        self.line = line
-        self.pos = 0
-
-    def error(self, message, column=None):
-        raise ParseError(message, self.line, self.pos + 1 if column is None else column)
-
-    def skip_space(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def take(self, expected):
-        self.skip_space()
-        if not self.text.startswith(expected, self.pos):
-            got = self.text[self.pos:self.pos + 1] or "end of line"
-            self.error(f"expected {expected!r}, found {got!r}")
-        self.pos += len(expected)
-
-    def try_take(self, expected):
-        self.skip_space()
-        if self.text.startswith(expected, self.pos):
-            self.pos += len(expected)
-            return True
-        return False
-
-    def ident(self):
-        self.skip_space()
-        start = self.pos
-        if start >= len(self.text) or self.text[start] not in _IDENT_START:
-            got = self.text[start:start + 1] or "end of line"
-            self.error(f"expected a name, found {got!r}")
-        end = start + 1
-        while end < len(self.text) and self.text[end] in _IDENT_REST:
-            end += 1
-        self.pos = end
-        return self.text[start:end]
-
-    def at_end(self):
-        self.skip_space()
-        return self.pos >= len(self.text)
+def _tokens(text: str) -> list:
+    """The stack of text's (token, 1-based column) pairs, first token on
+    top, over the end marker ("", len(text) + 1)."""
+    found = [(m[1], m.start(1) + 1) for m in _TOKEN.finditer(text)]
+    found.append(("", len(text) + 1))
+    found.reverse()
+    return found
 
 
-def _parse_term(scanner: _Scanner, high_names) -> Term:
+def _take(tokens, line, expected=None) -> tuple:
+    """Pop the next (token, column): the token expected, or by default a
+    name."""
+    token, column = tokens.pop()
+    if token == expected or expected is None and token[:1] in _IDENT_START:
+        return token, column
+    got = token[:1] or "end of line"
+    wanted = "a name" if expected is None else repr(expected)
+    raise ParseError(f"expected {wanted}, found {got!r}", line, column)
+
+
+def _end(tokens, line) -> None:
+    token, column = tokens[-1]
+    if token:
+        raise ParseError("unexpected trailing input", line, column)
+
+
+def _parse_term(tokens, line, high_names) -> Term:
     """par := sum ('|' sum)* ; sum := prefix ('+' prefix)* ;
     prefix := (action '.')* atom ; atom := '0' | CONST | '(' par ')'.
 
@@ -457,32 +440,37 @@ def _parse_term(scanner: _Scanner, high_names) -> Term:
     frames = []
     pars, sums, actions = [], [], []
     while True:
-        if scanner.try_take("0"):
+        token = tokens[-1][0]
+        if token == "0":
+            tokens.pop()
             term = NIL
-        elif scanner.try_take("("):
+        elif token == "(":
+            tokens.pop()
             frames.append((pars, sums, actions))
             pars, sums, actions = [], [], []
             continue
         else:
-            column = scanner.pos + 1
-            name = scanner.ident()
+            name, column = _take(tokens, line)
             if not name[0].isupper():
                 # a lowercase name here must be an action prefix
-                actions.append(_action_of(scanner, high_names, name, column))
-                scanner.take(".")
+                actions.append(_action_of(name, line, column, high_names))
+                _take(tokens, line, ".")
                 continue
             term = Const(name)
         while True:  # the atom ends a prefix, then maybe runs and a group
             for action in reversed(actions):
                 term = Prefix(action, term)
             actions = []
-            if scanner.try_take("+"):
+            token = tokens[-1][0]
+            if token == "+":
+                tokens.pop()
                 sums.append(term)
                 break
             if sums:
                 term = Sum(*sums, term)
                 sums = []
-            if scanner.try_take("|"):
+            if token == "|":
+                tokens.pop()
                 pars.append(term)
                 break
             if pars:
@@ -490,23 +478,18 @@ def _parse_term(scanner: _Scanner, high_names) -> Term:
                 pars = []
             if not frames:
                 return term
-            scanner.take(")")
+            _take(tokens, line, ")")
             pars, sums, actions = frames.pop()
 
 
-def _action_of(scanner, high_names, name, column) -> Action:
+def _action_of(name, line, column, high_names) -> Action:
     if name == TAU_NAME:
         return TAU
     if name in KEYWORDS:
-        scanner.error(f"{name} is a reserved word", column)
+        raise ParseError(f"{name} is a reserved word", line, column)
     if not name[0].islower():
-        scanner.error(f"action names are lowercase, found {name!r}", column)
+        raise ParseError(f"action names are lowercase, found {name!r}", line, column)
     return high(name) if name in high_names else low(name)
-
-
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
 
 
 def parse_spec(text: str) -> Spec:
@@ -516,45 +499,42 @@ def parse_spec(text: str) -> Spec:
     names (several lines union), `Name := term` defines a constant, and
     `main := term` gives the term under study.  Comments run from # to
     the end of the line.  Constants are capitalized, actions lowercase,
-    and `tau` is the silent action.
+    and `tau` is the silent action.  Each line is lexed once; declarations
+    are parsed first, as the levels of actions depend on them.
     """
     lines = text.splitlines()
+    declarations, definitions = [], []
+    for number, raw in enumerate(lines, start=1):
+        line = raw.partition("#")[0]
+        body = line.strip()
+        if body.startswith("high") and body[4:5] in ("", " ", "\t"):
+            declarations.append((number, _tokens(line)))
+        elif body:
+            definitions.append((number, _tokens(line)))
 
     high_names = set()
-    for number, raw in enumerate(lines, start=1):
-        body = _strip_comment(raw).strip()
-        if not body.startswith("high") or body[4:5] not in ("", " ", "\t"):
-            continue
-        scanner = _Scanner(_strip_comment(raw), number)
-        scanner.take("high")
+    for number, tokens in declarations:
+        _take(tokens, number, "high")
         while True:
-            scanner.skip_space()
-            column = scanner.pos + 1
-            name = scanner.ident()
+            name, column = _take(tokens, number)
             if name == TAU_NAME:
-                scanner.error("tau cannot be declared high", column)
+                raise ParseError("tau cannot be declared high", number, column)
             if not name[0].islower():
-                scanner.error(f"high declares action names, found {name!r}", column)
+                raise ParseError(
+                    f"high declares action names, found {name!r}", number, column)
             high_names.add(name)
-            if not scanner.try_take(","):
+            if tokens[-1][0] != ",":
                 break
-        if not scanner.at_end():
-            scanner.error("unexpected trailing input")
+            tokens.pop()
+        _end(tokens, number)
 
     defs = {}
     main = None
-    for number, raw in enumerate(lines, start=1):
-        body = _strip_comment(raw).strip()
-        if not body or (body.startswith("high") and body[4:5] in ("", " ", "\t")):
-            continue
-        scanner = _Scanner(_strip_comment(raw), number)
-        scanner.skip_space()
-        column = scanner.pos + 1
-        name = scanner.ident()
-        scanner.take(":=")
-        term = _parse_term(scanner, high_names)
-        if not scanner.at_end():
-            scanner.error("unexpected trailing input")
+    for number, tokens in definitions:
+        name, column = _take(tokens, number)
+        _take(tokens, number, ":=")
+        term = _parse_term(tokens, number, high_names)
+        _end(tokens, number)
         if name == "main":
             if main is not None:
                 raise ParseError("main is defined twice", number, column)
@@ -577,10 +557,9 @@ def parse_spec(text: str) -> Spec:
 
 def parse_term(text: str, spec: Spec) -> Term:
     """Parse a single term in the environment of an existing Spec."""
-    scanner = _Scanner(text, 1)
-    term = _parse_term(scanner, spec.high_names)
-    if not scanner.at_end():
-        scanner.error("unexpected trailing input")
+    tokens = _tokens(text)
+    term = _parse_term(tokens, 1, spec.high_names)
+    _end(tokens, 1)
     for name in const_names(term):
         if name not in spec.defs:
             raise SpecError(f"undefined process constant {name}")

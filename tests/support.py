@@ -1,11 +1,12 @@
 """The definition of firing on collections.Counter multisets, literal
 branching-bisimulation oracles, the definitional check as it was before
 its edge filter, the term transition system explored on whole terms,
-the recursive term walks the package replaced (parsing, rendering,
-categories, constant names and derivation listings), the typing as it
-was before it judged normal forms only, typing's side condition by its
-definition, randomized nets, terms, specifications and axiom
-instances, and every spec of a small scope, for the tests.
+the character scanner and the parser it fed, the recursive term walks
+the package replaced (parsing, rendering, categories, constant names
+and derivation listings), the typing as it was before it judged normal
+forms only, typing's side condition by its definition, randomized nets,
+terms, specifications and axiom instances, and every spec of a small
+scope and of its choices, for the tests.
 
 The oracles use only public engine names, so they check the refinement
 engine and the marking exploration independently.  Generators draw from a caller-supplied
@@ -13,6 +14,7 @@ random.Random, reproducible from a seed; axiom instances meet each
 law's side conditions by construction or by bounded resampling.
 """
 
+import string
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -27,9 +29,10 @@ from cfmcheck.net import (
 )
 from cfmcheck.security import Verdict, Witness
 from cfmcheck.syntax import (
-    GUARDED, NIL, PARALLEL, SEQUENTIAL, TAU, CategoryError, Const, Nil, Par,
-    Prefix, Spec, Sum, Term, _action_of, const_names, high, low,
-    normalize_sum, restrict_syntactic, show, validate_spec,
+    GUARDED, KEYWORDS, NIL, PARALLEL, SEQUENTIAL, TAU, TAU_NAME,
+    CategoryError, Const, Nil, Par, ParseError, Prefix, Spec, SpecError, Sum,
+    Term, category, const_names, high, low, normalize_sum, restrict_syntactic,
+    show, validate_spec,
 )
 from cfmcheck.typesystem import (
     Derivation, TypingJudgment, decide_equational, is_deadlock_place,
@@ -119,8 +122,58 @@ def is_observationally_guarded(name: str, spec: Spec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the recursive term walks, as oracles for the terms' cached renderings
-# and the package's iterative walks
+# the scanner and parser the package replaced, as oracles for the lexer
+# and the parser
+
+_IDENT_START = set(string.ascii_letters)
+_IDENT_REST = set(string.ascii_letters + string.digits + "_'")
+
+
+class _Scanner:
+    """Token stream over one source line, read one character at a time."""
+
+    def __init__(self, text, line):
+        self.text = text
+        self.line = line
+        self.pos = 0
+
+    def error(self, message, column=None):
+        raise ParseError(message, self.line, self.pos + 1 if column is None else column)
+
+    def skip_space(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def take(self, expected):
+        self.skip_space()
+        if not self.text.startswith(expected, self.pos):
+            got = self.text[self.pos:self.pos + 1] or "end of line"
+            self.error(f"expected {expected!r}, found {got!r}")
+        self.pos += len(expected)
+
+    def try_take(self, expected):
+        self.skip_space()
+        if self.text.startswith(expected, self.pos):
+            self.pos += len(expected)
+            return True
+        return False
+
+    def ident(self):
+        self.skip_space()
+        start = self.pos
+        if start >= len(self.text) or self.text[start] not in _IDENT_START:
+            got = self.text[start:start + 1] or "end of line"
+            self.error(f"expected a name, found {got!r}")
+        end = start + 1
+        while end < len(self.text) and self.text[end] in _IDENT_REST:
+            end += 1
+        self.pos = end
+        return self.text[start:end]
+
+    def at_end(self):
+        self.skip_space()
+        return self.pos >= len(self.text)
+
 
 def naive_parse_term(scanner, high_names) -> Term:
     """par := sum ('|' sum)* ; sum := prefix ('+' prefix)* ;
@@ -158,12 +211,123 @@ def _naive_parse_prefix(scanner, high_names) -> Term:
             term = Const(name)
             break
         # a lowercase name here must be an action prefix
-        actions.append(_action_of(scanner, high_names, name, column))
+        actions.append(_naive_action_of(scanner, high_names, name, column))
         scanner.take(".")
     for action in reversed(actions):
         term = Prefix(action, term)
     return term
 
+
+def _naive_action_of(scanner, high_names, name, column):
+    if name == TAU_NAME:
+        return TAU
+    if name in KEYWORDS:
+        scanner.error(f"{name} is a reserved word", column)
+    if not name[0].islower():
+        scanner.error(f"action names are lowercase, found {name!r}", column)
+    return high(name) if name in high_names else low(name)
+
+
+def _strip_comment(line: str) -> str:
+    cut = line.find("#")
+    return line if cut < 0 else line[:cut]
+
+
+def naive_parse_spec(text: str) -> Spec:
+    """parse_spec as it was: each line scanned one character at a time,
+    comments stripped and lines classified in each of two passes."""
+    lines = text.splitlines()
+
+    high_names = set()
+    for number, raw in enumerate(lines, start=1):
+        body = _strip_comment(raw).strip()
+        if not body.startswith("high") or body[4:5] not in ("", " ", "\t"):
+            continue
+        scanner = _Scanner(_strip_comment(raw), number)
+        scanner.take("high")
+        while True:
+            scanner.skip_space()
+            column = scanner.pos + 1
+            name = scanner.ident()
+            if name == TAU_NAME:
+                scanner.error("tau cannot be declared high", column)
+            if not name[0].islower():
+                scanner.error(f"high declares action names, found {name!r}", column)
+            high_names.add(name)
+            if not scanner.try_take(","):
+                break
+        if not scanner.at_end():
+            scanner.error("unexpected trailing input")
+
+    defs = {}
+    main = None
+    for number, raw in enumerate(lines, start=1):
+        body = _strip_comment(raw).strip()
+        if not body or (body.startswith("high") and body[4:5] in ("", " ", "\t")):
+            continue
+        scanner = _Scanner(_strip_comment(raw), number)
+        scanner.skip_space()
+        column = scanner.pos + 1
+        name = scanner.ident()
+        scanner.take(":=")
+        term = naive_parse_term(scanner, high_names)
+        if not scanner.at_end():
+            scanner.error("unexpected trailing input")
+        if name == "main":
+            if main is not None:
+                raise ParseError("main is defined twice", number, column)
+            main = term
+        elif name[0].isupper():
+            if name in defs:
+                raise ParseError(f"constant {name} is defined twice", number, column)
+            defs[name] = term
+        else:
+            raise ParseError(
+                f"definitions bind constants or main, found {name!r}", number, column)
+
+    if main is None:
+        raise ParseError("specification has no main term", len(lines) + 1, 1)
+
+    spec = Spec(frozenset(high_names), defs, main)
+    validate_spec(spec)
+    return spec
+
+
+def naive_parse_text(text: str, spec: Spec) -> Term:
+    """parse_term as it was, on the character scanner."""
+    scanner = _Scanner(text, 1)
+    term = naive_parse_term(scanner, spec.high_names)
+    if not scanner.at_end():
+        scanner.error("unexpected trailing input")
+    for name in const_names(term):
+        if name not in spec.defs:
+            raise SpecError(f"undefined process constant {name}")
+    category(term)
+    return term
+
+
+def parse_outcome(parse, *args):
+    """What parse(*args) gives: the term, the high names, definitions
+    and main of the Spec, or the type and text of the SpecError raised."""
+    try:
+        found = parse(*args)
+    except SpecError as error:
+        return type(error), str(error)
+    if isinstance(found, Spec):
+        return sorted(found.high_names), list(found.defs.items()), found.main
+    return found
+
+
+def spec_text(spec: Spec) -> str:
+    """spec written out: its high declaration, each definition, then main."""
+    lines = [f"high {', '.join(sorted(spec.high_names))}"] if spec.high_names else []
+    lines += [f"{name} := {show(body)}" for name, body in spec.defs.items()]
+    return "\n".join([*lines, f"main := {show(spec.main)}"]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the recursive term walks, as oracles for the terms' cached renderings
+# and the package's iterative walks
 
 def naive_show(t: Term) -> str:
     """The canonical rendering, recomputed over the whole term: a run
@@ -614,7 +778,7 @@ def all_edges_definitional(spec: Spec, limit: int = 10 ** 6) -> Verdict:
     the source marking less the consumed token.  Stats: markings and
     steps."""
     net = build_net(spec)
-    part = branching_bisim(restrict_net(net, spec.high_names))
+    part = branching_bisim(restrict_net(net))
     markings, edges = pair_key_reach_graph(net, limit)
     names = net.names
 
@@ -861,6 +1025,24 @@ def small_specs(max_nodes: int = 3):
                 if main == Par(a, b) and (swapped[j], swapped[i]) < (i, j):
                     continue
                 yield make_spec(["h"], {"A": body_a, "B": body_b}, main)
+
+
+def choice_specs(max_nodes: int = 3):
+    """Specs whose typing singles out a high branch of a choice: main A,
+    the body of A a choice of a high-prefixed term and another prefixed
+    term, each a guarded term over a, h and tau of at most max_nodes
+    nodes, and the body of B a guarded term of at most two nodes without
+    constants.  A choice of two high terms is made in one order only."""
+    actions = (low("a"), high("h"), TAU)
+    prefixed = [t for t in guarded_terms(max_nodes, actions, "AB")
+                if isinstance(t, Prefix)]
+    highs = [t for t in prefixed if t.action.is_high]
+    others = [t for t in prefixed if not t.action.is_high]
+    for i, p in enumerate(highs):
+        for q in highs[i + 1:] + others:
+            for body_b in guarded_terms(2, actions, ""):
+                yield make_spec(["h"], {"A": Sum(p, q), "B": body_b},
+                                Const("A"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 caller in the package.
 
 A public function, class, method or module constant, or a private
-module-level function or class, of src/cfmcheck is referenced when a
-name or an attribute of that spelling occurs in the package's code
-outside its own definition.  Imports are not references, so the
+module-level function, class or constant, of src/cfmcheck is referenced
+when a name or an attribute of that spelling occurs in the package's
+code outside its own definition.  Imports are not references, so the
 re-exports in __init__ do not count.
 """
 
@@ -47,6 +47,18 @@ def private_definitions(module: str, tree: ast.Module):
             yield f"{module}.{node.name}", node.name, node
 
 
+def private_constants(module: str, tree: ast.Module):
+    """(qualified name, spelling, defining node) of each private
+    module-level constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if (isinstance(target, ast.Name) and target.id.startswith("_")
+                        and not target.id.startswith("__")):
+                    yield f"{module}.{target.id}", target.id, node
+
+
 def references(tree: ast.Module):
     """(spelling, node) of each name read and attribute taken."""
     for node in ast.walk(tree):
@@ -82,3 +94,7 @@ def test_every_private_helper_has_a_caller():
     # a helper that a deletion strands fails here, not only in review
     assert uncalled_names(private_definitions) == set()
 
+
+def test_every_private_constant_has_a_reference():
+    # a table or pattern that a deletion strands fails here too
+    assert uncalled_names(private_constants) == set()

@@ -179,7 +179,7 @@ class TestRefinementScaling:
         lines = [f"C{i} := a.C{(i + 1) % n}" for i in range(n)]
         lines[n // 2] = f"C{n // 2} := h.C{n // 2 + 1}"
         spec = parse_spec("high h\n" + "\n".join(lines) + "\nmain := C0\n")
-        net = restrict_net(build_net(spec), spec.high_names)
+        net = restrict_net(build_net(spec))
         part, elapsed = timed("restricted ring 6400", lambda: branching_bisim(net))
         assert len(part.classes) == n + 1
         assert elapsed < 2.0

@@ -139,7 +139,7 @@ class TestBuildNet:
 
     def test_net_of_subterm(self):
         spec = spec_of("high h\nC := h.l.C + l.C\nmain := C | C")
-        net = build_net(spec, parse_term("l.C", spec))
+        net = build_net(spec.with_main(parse_term("l.C", spec)))
         assert net.names == ("C", "l.C")
         assert net.initial == (net.index["l.C"],)
 
@@ -308,7 +308,7 @@ class TestRestrictNet:
     def test_blocks_high_only(self):
         spec = spec_of("high h\nC := h.l.C + l.C\nmain := C")
         net = build_net(spec)
-        restricted = restrict_net(net, spec.high_names)
+        restricted = restrict_net(net)
         assert restricted.names == net.names
         assert sorted(str(t.label) for t in restricted.transitions) == ["l", "l"]
 
@@ -317,7 +317,7 @@ class TestRestrictNet:
         for _ in range(200):
             spec = random_spec(rng)
             net = build_net(spec)
-            restricted = restrict_net(net, spec.high_names)
+            restricted = restrict_net(net)
             assert restricted.names == net.names
             assert restricted.initial == net.initial
             assert restricted.transitions == tuple(
@@ -325,7 +325,7 @@ class TestRestrictNet:
 
     def test_tau_survives(self):
         net = build_net(spec_of("high h\nmain := tau.h.0"))
-        restricted = restrict_net(net, frozenset(["h"]))
+        restricted = restrict_net(net)
         assert [str(t.label) for t in restricted.transitions] == ["tau"]
 
 

@@ -4,9 +4,10 @@ rendering of every body and main re-parsing to the same term,
 type_check against the typing as it was (support.naive_type_check),
 and each side condition that typing decides, and the pair of A's and
 B's bodies, against its definition (support.syntactic_equational), on
-every spec of the small scope (support.small_specs) at bound 3.
-Random draws rarely hit every combination of the small corner cases;
-the enumeration misses none up to its bound.
+every spec of the small scope (support.small_specs) and of the choices
+that make typing decide side conditions (support.choice_specs) at
+bound 3.  Random draws rarely hit every combination of the small
+corner cases; the enumeration misses none up to its bound.
 
 Run as a script for a larger bound, 4 by default:
 
@@ -16,6 +17,7 @@ It prints the number of specs and of disagreements per check, and exits
 1 when any check disagrees.
 """
 
+import itertools
 import sys
 import time
 
@@ -24,7 +26,7 @@ from cfmcheck.security import check_all
 from cfmcheck.syntax import normalize_sum, parse_term, show
 from cfmcheck.typesystem import decide_equational, type_check
 from support import (
-    fired_reach_graph, lts_summary, marking_graph_matches_lts,
+    choice_specs, fired_reach_graph, lts_summary, marking_graph_matches_lts,
     naive_type_check, small_specs, syntactic_equational, term_lts,
     type_outputs,
 )
@@ -46,8 +48,9 @@ def disagreements(spec) -> list:
     asked = []
     if type_outputs(judgment) != type_outputs(naive_type_check(spec, asked)):
         failed.append("typing")
-    # below five nodes no choice keeps two live summands, so typing asks
-    # nothing here: the two bodies stand in for a branch and a remainder
+    # below five nodes no body of small_specs keeps two live summands,
+    # so typing asks nothing there: the two bodies stand in for a branch
+    # and a remainder
     p, q = (normalize_sum(spec.defs[name]) for name in "AB")
     asked.append((p, q, decide_equational(p, q, spec)))
     if any(verdict != syntactic_equational(p, q, spec)
@@ -81,12 +84,29 @@ def test_bound_3():
     assert not failed
 
 
+def test_choices_bound_3():
+    specs = list(choice_specs(3))
+    assert len(specs) == 1416
+    failed = {describe(spec): found for spec in specs
+              if (found := disagreements(spec))}
+    assert not failed
+
+
+def test_choices_decide_side_conditions():
+    # typing singles out a high branch, and its side condition holds on
+    # some choices and fails on others
+    asked = []
+    for spec in choice_specs(3):
+        naive_type_check(spec, asked)
+    assert {verdict for _, _, verdict in asked} == {True, False}
+
+
 if __name__ == "__main__":
     bound = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     started = time.perf_counter()
     counts = dict.fromkeys(CHECKS, 0)
     total = 0
-    for spec in small_specs(bound):
+    for spec in itertools.chain(small_specs(bound), choice_specs(bound)):
         total += 1
         for check in disagreements(spec):
             counts[check] += 1

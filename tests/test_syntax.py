@@ -17,8 +17,9 @@ from cfmcheck.syntax import (
 )
 from support import (
     bracketed, is_observationally_guarded, make_spec, naive_category,
-    naive_const_names, naive_parse_term, naive_show, random_guarded,
-    random_sequential, random_spec, random_unchecked, rename_consts, sort,
+    naive_const_names, naive_parse_spec, naive_parse_text, naive_show,
+    parse_outcome, random_guarded, random_sequential, random_spec,
+    random_unchecked, rename_consts, small_specs, sort, spec_text,
     subterms,
 )
 
@@ -285,24 +286,16 @@ class TestParsing:
             parse_term("a.Dog + b.A + c.Cat", spec)
 
 
-def parse_outcome(text, spec):
-    """parse_term's term, or the type and text of the error it raises."""
-    try:
-        return parse_term(text, spec)
-    except SpecError as error:
-        return type(error), str(error)
-
-
 class TestParserAgainstRecursiveDescent:
-    """The loop parser against the recursive-descent parser it replaced
-    (support.naive_parse_term): equal terms, and equal errors with equal
-    coordinates, on renderings, bracketings and their mutations."""
+    """The lexer and the loop parser against the character scanner and
+    the recursive-descent parser they replaced (support.naive_parse_text
+    and support.naive_parse_spec): equal terms and specs, and equal
+    errors with equal coordinates, on renderings, bracketings and their
+    mutations."""
 
-    def assert_same(self, text, spec, monkeypatch):
-        found = parse_outcome(text, spec)
-        with monkeypatch.context() as patched:
-            patched.setattr(syntax, "_parse_term", naive_parse_term)
-            expected = parse_outcome(text, spec)
+    def assert_same(self, text, spec):
+        found = parse_outcome(parse_term, text, spec)
+        expected = parse_outcome(naive_parse_text, text, spec)
         assert found == expected, text
         return found
 
@@ -324,19 +317,19 @@ class TestParserAgainstRecursiveDescent:
                              else part)
             yield spec, bracketed(rng, parts, Par)
 
-    def test_renderings(self, monkeypatch):
+    def test_renderings(self):
         rng = random.Random(23)
         for _ in range(500):
             spec = random_spec(rng)
             for root in (spec.main, *spec.defs.values()):
-                assert self.assert_same(show(root), spec, monkeypatch) == root
+                assert self.assert_same(show(root), spec) == root
 
-    def test_bracketings(self, monkeypatch):
+    def test_bracketings(self):
         rng = random.Random(24)
         for spec, term in self.bracketings(rng, 500):
-            assert self.assert_same(show(term), spec, monkeypatch) == term
+            assert self.assert_same(show(term), spec) == term
 
-    def test_mutations(self, monkeypatch):
+    def test_mutations(self):
         # delete or insert one operator or parenthesis
         rng = random.Random(25)
         texts = [(show(term), spec) for spec, term in self.bracketings(rng, 400)]
@@ -352,9 +345,36 @@ class TestParserAgainstRecursiveDescent:
             else:
                 i = rng.randint(0, len(text))
                 text = text[:i] + rng.choice("()+|.") + text[i:]
-            found = self.assert_same(text, spec, monkeypatch)
+            found = self.assert_same(text, spec)
             errors += not isinstance(found, syntax.Term)
         assert errors > 1000
+
+    def test_spec_mutations(self):
+        # insert, delete or replace up to three characters of a written
+        # spec, among them characters that only space and tab may skip
+        rng = random.Random(26)
+        texts = [spec_text(random_spec(rng)) for _ in range(300)]
+        alphabet = "()+|.0:=,# \t\xa0\nahigkAP'"
+        errors = 0
+        for _ in range(6000):
+            text = rng.choice(texts)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(text) + 1)
+                edit = rng.randrange(3)
+                text = (text[:i] + rng.choice(alphabet) * (edit != 1)
+                        + text[i + (edit != 0):])
+            found = parse_outcome(parse_spec, text)
+            assert found == parse_outcome(naive_parse_spec, text), repr(text)
+            errors += isinstance(found[0], type)
+        assert 2000 < errors < 5900
+
+    def test_small_scope_texts(self):
+        # every spec of the small scope, written out, parses back to itself
+        for spec in small_specs(3):
+            text = spec_text(spec)
+            found = parse_outcome(parse_spec, text)
+            assert found == parse_outcome(naive_parse_spec, text), text
+            assert found == (["h"], list(spec.defs.items()), spec.main), text
 
 
 class TestCategories:
