@@ -10,6 +10,7 @@ names.  Indexes follow the sorted order of names, so the two sort alike.
 """
 
 from bisect import bisect_left
+from math import prod
 from operator import add
 from typing import NamedTuple
 
@@ -287,57 +288,130 @@ def _place_table(spec: Spec, roots, limit=None) -> tuple:
     return names, edges
 
 
-def build_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
-    """Explore the transition system from main, state 0.
+class LeafTable:
+    """The leaves of main's |-skeleton and the place table reachable from
+    them, from which main's transition system is explored or counted.
 
     | never occurs under a prefix or in a choice, so every move of main
     moves exactly one leaf of main's fixed |-skeleton, and the system is
-    the product of the leaves' place moves: a state is the tuple of its
-    leaves' places, as indexes into the place table, and its moves are
-    those of each leaf in turn, left to right.  Two moves of different
-    leaves reach the same state only when both loop, so only looping
-    actions are deduplicated per state.  A state is named by joining its
-    leaves' place names with the text between main's leaves, which is
-    the rendering of the term the moves of main reach.  A main that is
-    one leaf is its own place table, with a 1-tuple per place.
+    the product of the leaves' place moves.  start holds each leaf's
+    place, left to right, as an index into the table, and after the text
+    after each leaf in main's rendering; names and edges are the place
+    table of _place_table.  limit caps the table only when main is one
+    leaf, whose table is its whole system.
     """
-    if not isinstance(spec.main, Par):
-        names, edges = _place_table(spec, [spec.main], limit)
-        return Lts(tuple((i,) for i in range(len(names))), tuple(names),
-                   tuple(edges), (0,))
 
-    leaves, after = _skeleton(spec.main)
-    names, edges = _place_table(spec, leaves)
-    moves = [[] for _ in names]
-    for source, action, target in edges:
-        moves[source].append((action, target))
-    # the place table numbers the distinct leaves first, in leaf order
-    first = {}
-    start = tuple(first.setdefault(show(leaf), len(first)) for leaf in leaves)
+    __slots__ = ("start", "after", "names", "edges")
 
-    def product_moves(state):
-        loops = None
-        for i, place in enumerate(state):
-            for action, target in moves[place]:
-                if target == place:
-                    if loops is None:
-                        loops = {action}
-                    elif action in loops:
-                        continue
+    def __init__(self, spec: Spec, limit):
+        leaves, self.after = _skeleton(spec.main)
+        self.names, self.edges = _place_table(
+            spec, leaves, limit if len(leaves) == 1 else None)
+        # the place table numbers the distinct leaves first, in leaf order
+        first = {}
+        self.start = tuple(first.setdefault(show(leaf), len(first))
+                           for leaf in leaves)
+
+    def _moves(self) -> list:
+        """Per place, its (action, place) moves."""
+        moves = [[] for _ in self.names]
+        for source, action, target in self.edges:
+            moves[source].append((action, target))
+        return moves
+
+    def product(self, limit) -> tuple:
+        """The states and edges of the system from main, state 0.
+
+        A state is the tuple of its leaves' places, and its moves are
+        those of each leaf in turn, left to right.  Two moves of
+        different leaves reach the same state only when both loop, so
+        only looping actions are deduplicated per state.  A main that is
+        one leaf is its own place table, with a 1-tuple per place.
+        limit caps the states as _explore does.
+        """
+        if len(self.start) == 1:
+            return [(i,) for i in range(len(self.names))], self.edges
+        moves = self._moves()
+
+        def product_moves(state):
+            loops = None
+            for i, place in enumerate(state):
+                for action, target in moves[place]:
+                    if target == place:
+                        if loops is None:
+                            loops = {action}
+                        elif action in loops:
+                            continue
+                        else:
+                            loops.add(action)
+                        yield action, state, state
                     else:
-                        loops.add(action)
-                    yield action, state, state
-                else:
-                    successor = state[:i] + (target,) + state[i + 1:]
-                    yield action, successor, successor
+                        successor = state[:i] + (target,) + state[i + 1:]
+                        yield action, successor, successor
 
-    states, product_edges, _ = _explore([(start, start)], product_moves,
-                                        limit)
-    name = names.__getitem__
-    return Lts(tuple(states),
-               tuple("".join(map(add, map(name, state), after))
-                     for state in states),
-               tuple(product_edges), (0,))
+        start = self.start
+        states, edges, _ = _explore([(start, start)], product_moves, limit)
+        return states, edges
+
+    def product_size(self) -> tuple:
+        """The numbers of states and edges of product(), which is not
+        explored.
+
+        Each leaf moves on its own, so every tuple of places its leaves
+        reach is a state: T = prod S_i of them, with S_i the places leaf
+        i reaches.  Each of the N_i edges between two different places
+        of leaf i moves it in the T / S_i states that hold its source.
+        A state loops on an action a once when any of its places does,
+        which T - prod (S_i - L_i(a)) states do, with L_i(a) the places
+        of leaf i that loop on a.  A main that is one leaf is its own
+        place table.
+        """
+        if len(self.start) == 1:
+            return len(self.names), len(self.edges)
+        moves = self._moves()
+        sizes = {}  # per distinct leaf place: S, N and L per action
+        for root in self.start:
+            if root in sizes:
+                continue
+            reached = {root}
+            stack = [root]
+            steps, loops = 0, {}
+            while stack:
+                place = stack.pop()
+                for action, target in moves[place]:
+                    if target == place:
+                        loops[action] = loops.get(action, 0) + 1
+                        continue
+                    steps += 1
+                    if target not in reached:
+                        reached.add(target)
+                        stack.append(target)
+            sizes[root] = len(reached), steps, loops
+        leaves = [sizes[root] for root in self.start]
+        states = prod(size for size, _, _ in leaves)
+        steps = sum(moved * states // size for size, moved, _ in leaves)
+        for action in {a for _, _, loops in leaves for a in loops}:
+            steps += states - prod(size - loops.get(action, 0)
+                                   for size, _, loops in leaves)
+        return states, steps
+
+    def name(self, state) -> str:
+        """The rendering of the term a state of product() stands for:
+        its leaves' place names joined by the text between main's
+        leaves."""
+        return "".join(map(add, map(self.names.__getitem__, state),
+                           self.after))
+
+
+def build_lts(spec: Spec, limit: int = 10 ** 6) -> Lts:
+    """Explore the transition system from main, state 0, as the product
+    of main's leaves (LeafTable.product), each state named by the
+    rendering of its term, so no state is rendered whole to be
+    interned."""
+    table = LeafTable(spec, limit)
+    states, edges = table.product(limit)
+    return Lts(tuple(states), tuple(map(table.name, states)), tuple(edges),
+               (0,))
 
 
 # ---------------------------------------------------------------------------

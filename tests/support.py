@@ -1,9 +1,10 @@
 """The definition of firing on collections.Counter multisets, literal
 branching-bisimulation oracles, the definitional check as it was before
-its edge filter, the term transition system explored on whole terms,
-the character scanner and the parser it fed, the recursive term walks
-the package replaced (parsing, rendering, categories, constant names
-and derivation listings), the typing as it was before it judged normal
+its edge filter, SBNDC on the whole interleaving product, the term
+transition system explored on whole terms, the character scanner and
+the parser it fed, the recursive term walks the package replaced
+(parsing, rendering, categories, constant names and derivation
+listings), the typing as it was before it judged normal
 forms only, typing's side condition by its definition, randomized nets,
 terms, specifications and axiom instances, and every spec of a small
 scope and of its choices, for the tests.
@@ -24,8 +25,8 @@ from cfmcheck.equiv import (
     Partition, branching_bisim, strong_partition, terms_equiv,
 )
 from cfmcheck.net import (
-    Lts, Net, StateLimitError, Transition, build_net, dec, lts_step,
-    reach_graph, restrict_net,
+    Lts, Net, StateLimitError, Transition, build_lts, build_net, dec,
+    lts_step, reach_graph, restrict_net,
 )
 from cfmcheck.security import Verdict, Witness
 from cfmcheck.syntax import (
@@ -797,6 +798,37 @@ def all_edges_definitional(spec: Spec, limit: int = 10 ** 6) -> Verdict:
                 "the marking after this high step is observably different"))
     return Verdict.decide("definitional", witnesses, markings=len(markings),
                           steps=len(edges))
+
+
+def product_sbndc(spec: Spec, limit: int = 10 ** 6) -> Verdict:
+    """SBNDC as it was before the leaves were checked first: on the whole
+    transition system of main from build_lts, every high edge whose two
+    ends are not strongly bisimilar once high edges are pruned is a
+    witness.  Stats: states and steps, the states and edges of that
+    system.  Raises StateLimitError past limit states."""
+    lts = build_lts(spec, limit=limit)
+    low_edges = [e for e in lts.edges if not e[1].is_high]
+    class_of = strong_partition(len(lts.states), low_edges)
+    witnesses = []
+    for source, action, target in lts.edges:
+        if action.is_high and class_of[source] != class_of[target]:
+            witnesses.append(Witness(
+                (lts.names[source], str(action), lts.names[target]), None,
+                "the states before and after this high step are "
+                "distinguishable through low actions"))
+    return Verdict.decide("sbndc", witnesses, states=len(lts.states),
+                          steps=len(lts.edges))
+
+
+def sbndc_outcome(check, spec: Spec, limit: int = 10 ** 6) -> tuple:
+    """What the SBNDC check and its product oracle must agree on: the
+    verdict, the witnesses, states and steps, or ("capped", explored)
+    when the check hits its cap."""
+    try:
+        v = check(spec, limit)
+    except StateLimitError as error:
+        return "capped", error.explored
+    return v.secure, v.witnesses, v.stats["states"], v.stats["steps"]
 
 
 def marking_graph_matches_lts(spec: Spec, limit: int) -> bool:

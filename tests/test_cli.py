@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from cfmcheck import cli, security, typesystem
 from cfmcheck.cli import _json_text, _parser, build_parser, main
 from cfmcheck.net import (
-    StateLimitError, build_lts, build_net, components, reach_graph,
+    LeafTable, StateLimitError, build_lts, build_net, components,
+    reach_graph,
 )
 from cfmcheck.syntax import parse_spec, show
 from support import random_spec, term_lts
@@ -240,6 +241,28 @@ class TestDniCommand:
         out = capsys.readouterr().out
         assert "structural: insecure" in out
         assert "sbndc: inconclusive" in out
+
+    def test_secure_leaves_decide_sbndc_beyond_the_cap(self, tmp_path,
+                                                       capsys):
+        # each leaf is secure, so the 11**12 states of the product are
+        # counted, not explored, and the cap does not apply
+        path = copies_path(tmp_path, "h.a.C9 + a.C9")
+        assert main(["dni", "--method", "struct", "--sbndc",
+                     "--max-states", "1000", path]) == 0
+        out = capsys.readouterr().out
+        assert "structural: secure" in out
+        assert "sbndc: secure" in out and f"states={11 ** 12}," in out
+
+    def test_sixteen_secure_copies(self, tmp_path, capsys, monkeypatch):
+        def unexplored(table, limit):
+            raise AssertionError("the product of secure leaves is explored")
+
+        monkeypatch.setattr(LeafTable, "product", unexplored)
+        path = copies_path(tmp_path, "h.a.C9 + a.C9", k=16)
+        assert main(["dni", "--method", "struct", "--sbndc", path]) == 0
+        out = capsys.readouterr().out
+        assert "structural: secure" in out
+        assert "sbndc: secure" in out and f"states={11 ** 16}," in out
 
     def test_cap_on_secure_spec(self, tmp_path, capsys):
         path = copies_path(tmp_path, "h.C9 + a.C9")

@@ -8,14 +8,16 @@ from math import comb
 import pytest
 
 from cfmcheck import security
-from cfmcheck.net import StateLimitError
+from cfmcheck.net import LeafTable, StateLimitError
 from cfmcheck.security import (
     Verdict, Witness, check_all, components, dni_compositional,
     dni_definitional, dni_structural, rooted_dni,
     sbndc_interleaving,
 )
 from cfmcheck.syntax import Par, parse_spec, show
-from support import all_edges_definitional, random_spec, sort
+from support import (
+    all_edges_definitional, product_sbndc, random_spec, sbndc_outcome, sort,
+)
 
 
 def spec_of(text):
@@ -93,6 +95,19 @@ class TestKnownVerdicts:
         spec = spec_of(
             "high h\nmain := h.l.l.0 + (h.l.(h.l.0 + l.0) + l.l.0)")
         assert rooted_dni(spec).secure
+
+    def test_insecure_leaf_in_a_secure_product(self):
+        # L alone fails SBNDC: after h it offers no a.  Beside M's
+        # endless a the product cannot tell, so SBNDC comes from the
+        # product, and the distributed view still sees L's token stuck
+        text = "high h\nL := h.S + a.L\nS := 0 + 0\nM := a.M\nmain := "
+        assert not sbndc_interleaving(spec_of(text + "L")).secure
+        spec = spec_of(text + "L | M")
+        got = sbndc_outcome(sbndc_interleaving, spec)
+        assert got[0] is True
+        assert got == sbndc_outcome(product_sbndc, spec)
+        for verdict in (*all_dni(spec), rooted_dni(spec)):
+            assert not verdict.secure, verdict.method
 
     def test_low_choice_fails_interleaving_check(self):
         spec = spec_of("high h\nmain := l.h.l.0 + l.0 + l.l.0")
@@ -200,6 +215,66 @@ class TestHelpers:
         # C | B, B | B: h once, l from each leaf but B | B's l loops once
         assert verdict.stats["states"] == 2 and verdict.stats["steps"] == 3
         assert verdict.stats["explore_s"] >= 0 <= verdict.stats["refine_s"]
+
+
+class TestSbndcAgainstProduct:
+    """sbndc_interleaving decides from main's leaves when each is secure
+    and explores the product otherwise; the check on the whole product,
+    as it was, must agree with it on verdicts, witnesses, states and
+    steps."""
+
+    @pytest.fixture
+    def explored(self, monkeypatch):
+        """Calls sbndc_interleaving and tells how it decided: by the
+        leaves alone, by a one-leaf main's table or by the product."""
+        product = LeafTable.product
+        calls = []
+
+        def counted(table, limit):
+            calls.append("product" if len(table.start) > 1 else "table")
+            return product(table, limit)
+
+        def check(spec):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(LeafTable, "product", counted)
+                got = sbndc_outcome(sbndc_interleaving, spec)
+            return got, calls[0] if calls else "leaves"
+
+        return check
+
+    def test_random_specs(self, explored):
+        rng = random.Random(47)
+        routes = Counter()
+        for _ in range(2000):
+            spec = random_spec(rng)
+            got, route = explored(spec)
+            assert got == sbndc_outcome(product_sbndc, spec), show(spec.main)
+            routes[route, got[0]] += 1
+        # every route decides many draws, and some insecure leaves still
+        # make a secure product
+        assert set(routes) == {("leaves", True), ("table", False),
+                               ("product", False), ("product", True)}
+        assert routes["leaves", True] > 800
+        assert routes["table", False] > 50
+        assert routes["product", False] > 500
+
+    def test_secure_copies_count_the_product(self, explored):
+        for k in range(1, 7):
+            spec = ring_copies(k, "h.a.C9 + a.C9")
+            got, route = explored(spec)
+            assert route == "leaves"
+            assert got[:3] == (True, (), 11 ** k)
+            if k <= 4:
+                assert got == sbndc_outcome(product_sbndc, spec)
+
+    def test_insecure_copies_explore_the_product(self, explored):
+        for k in range(1, 4):
+            spec = ring_copies(k)
+            got, route = explored(spec)
+            assert route == ("table" if k == 1 else "product")
+            assert got[0] is False
+            assert got == sbndc_outcome(product_sbndc, spec)
 
 
 def outcome(verdict):

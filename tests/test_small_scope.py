@@ -1,6 +1,7 @@
 """Criteria 3, 4 and 8, the marking graph against the definition of
-firing, build_lts against the LTS explored on whole terms, the
-rendering of every body and main re-parsing to the same term,
+firing, build_lts against the LTS explored on whole terms, SBNDC from
+main's leaves against SBNDC on the whole product (support.product_sbndc),
+the rendering of every body and main re-parsing to the same term,
 type_check against the typing as it was (support.naive_type_check),
 and each side condition that typing decides, and the pair of A's and
 B's bodies, against its definition (support.syntactic_equational), on
@@ -22,18 +23,18 @@ import sys
 import time
 
 from cfmcheck.net import build_lts, build_net, reach_graph
-from cfmcheck.security import check_all
+from cfmcheck.security import check_all, sbndc_interleaving
 from cfmcheck.syntax import normalize_sum, parse_term, show
 from cfmcheck.typesystem import decide_equational, type_check
 from support import (
     choice_specs, fired_reach_graph, lts_summary, marking_graph_matches_lts,
-    naive_type_check, small_specs, syntactic_equational, term_lts,
-    type_outputs,
+    naive_type_check, product_sbndc, sbndc_outcome, small_specs,
+    syntactic_equational, term_lts, type_outputs,
 )
 
 LIMIT = 10 ** 4
 CHECKS = ("criterion 3", "criterion 4", "criterion 8", "firing", "lts",
-          "show", "typing", "side condition")
+          "sbndc", "show", "typing", "side condition")
 
 
 def disagreements(spec) -> list:
@@ -65,6 +66,9 @@ def disagreements(spec) -> list:
     if lts_summary(build_lts, spec, LIMIT) != lts_summary(term_lts, spec,
                                                           LIMIT):
         failed.append("lts")
+    if (sbndc_outcome(sbndc_interleaving, spec, LIMIT)
+            != sbndc_outcome(product_sbndc, spec, LIMIT)):
+        failed.append("sbndc")
     if any(parse_term(show(t), spec) != t
            for t in (*spec.defs.values(), spec.main)):
         failed.append("show")
